@@ -23,14 +23,13 @@ from .errors import DimensionError, DivergenceError
 from .regularizer import nms_tctv
 from .tensor import (
     diff_matrix,
-    fft_mode3,
     mode_n_product,
     mode_shuffle,
     mode_unshuffle,
     require_finite,
     unfold,
 )
-from .tsvd import LogSurrogate, ntpnn_prox
+from .tsvd import LogSurrogate, _fourier_slices, _mirror_index, _slice_svd, ntpnn_prox
 
 TAU_MODES = ("paper", "safe")
 EPS_MODES = ("absolute", "relative")
@@ -184,7 +183,8 @@ class Diagnostics:
     """Per-iteration trajectories plus the final optimality report.
 
     ``eps`` is the effective absolute threshold the stop rule used (already
-    scaled by |X|_F when the solver ran in relative mode).
+    scaled by |X|_F when the solver ran in relative mode). ``wall_time[k]``
+    is the seconds iteration k took, its own diagnostics included.
     """
 
     tau: float
@@ -316,12 +316,9 @@ def grad_a(state, problem):
         + mode_n_product(a, problem.d1td1, 1)
         + mode_n_product(a, problem.d2td2, 2)
     )
-    xt = problem.x + state.mx / rho
-    data_x = mode_n_product(
-        mode_n_product(mode_n_product(xt, problem.p1.T, 1), problem.p2.T, 2),
-        problem.s.T,
-        3,
-    )
+    # S^T first: it shrinks the tensor that the spatial back-projections enlarge
+    xt = mode_n_product(problem.x + state.mx / rho, problem.s.T, 3)
+    data_x = mode_n_product(mode_n_product(xt, problem.p1.T, 1), problem.p2.T, 2)
     data_y = mode_n_product(problem.y + state.my / rho, problem.q.T, 3)
     data_g1 = mode_n_product(state.g1 + state.m1 / rho, problem.d1.T, 1)
     data_g2 = mode_n_product(state.g2 + state.m2 / rho, problem.d2.T, 2)
@@ -339,11 +336,14 @@ def l1_objective(state, problem):
     )
 
 
-def step_a(state, problem, tau):
-    """One gradient descent step: a <- a - grad/tau."""
+def step_a(state, problem, tau, grad=None):
+    """One gradient descent step: a <- a - grad/tau, where ``grad`` is
+    ``grad_a(state, problem)`` unless the caller already has it."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return replace(state, a=state.a - grad_a(state, problem) / tau)
+    if grad is None:
+        grad = grad_a(state, problem)
+    return replace(state, a=state.a - grad / tau)
 
 
 def step_g(state, n, psi, problem):
@@ -358,29 +358,33 @@ def step_g(state, n, psi, problem):
     return replace(state, g2=g_new)
 
 
-def residuals(state, problem):
-    """The four constraint residual Frobenius norms (x, y, g1, g2)."""
-    rx = problem.x - _forward_x(state.a, problem)
-    ry = problem.y - _forward_y(state.a, problem)
-    r1 = state.g1 - mode_n_product(state.a, problem.d1, 1)
-    r2 = state.g2 - mode_n_product(state.a, problem.d2, 2)
-    return np.array(
-        [
-            np.linalg.norm(rx),
-            np.linalg.norm(ry),
-            np.linalg.norm(r1),
-            np.linalg.norm(r2),
-        ]
+def _residual_tensors(state, problem):
+    """The four constraint residual tensors (x, y, g1, g2) of ``state``."""
+    return (
+        problem.x - _forward_x(state.a, problem),
+        problem.y - _forward_y(state.a, problem),
+        state.g1 - mode_n_product(state.a, problem.d1, 1),
+        state.g2 - mode_n_product(state.a, problem.d2, 2),
     )
 
 
-def update_multipliers(state, problem, nu):
-    """Dual ascent on the four multipliers, then geometric penalty growth."""
+def residuals(state, problem, tensors=None):
+    """The four constraint residual Frobenius norms (x, y, g1, g2); ``tensors``
+    are the residual tensors of ``state`` when the caller already has them."""
+    if tensors is None:
+        tensors = _residual_tensors(state, problem)
+    return np.array([np.linalg.norm(r) for r in tensors])
+
+
+def update_multipliers(state, problem, nu, tensors=None):
+    """Dual ascent on the four multipliers, then geometric penalty growth;
+    ``tensors`` are as in :func:`residuals`."""
     rho = state.rho
-    mx = state.mx + rho * (problem.x - _forward_x(state.a, problem))
-    my = state.my + rho * (problem.y - _forward_y(state.a, problem))
-    m1 = state.m1 + rho * (state.g1 - mode_n_product(state.a, problem.d1, 1))
-    m2 = state.m2 + rho * (state.g2 - mode_n_product(state.a, problem.d2, 2))
+    rx, ry, r1, r2 = tensors if tensors is not None else _residual_tensors(state, problem)
+    mx = state.mx + rho * rx
+    my = state.my + rho * ry
+    m1 = state.m1 + rho * r1
+    m2 = state.m2 + rho * r2
     return replace(
         state, mx=mx, my=my, m1=m1, m2=m2, rho=rho * nu, iter=state.iter + 1
     )
@@ -396,29 +400,21 @@ def _check_finite_state(state):
 
 def _subgradient_deviation(g, m, psi, n, rel_rank_tol=1e-8):
     """Max deviation of the multiplier's Fourier singular components from
-    -psi'(sigma)/2 over the retained singular values of g (shuffled mode n)."""
-    gh = fft_mode3(mode_shuffle(g, n))
-    mh = fft_mode3(mode_shuffle(m, n))
-    sv_max = 0.0
-    slices = []
-    for f in range(gh.shape[2]):
-        u, s, vt = np.linalg.svd(gh[:, :, f], full_matrices=False)
-        slices.append((f, u, s, vt))
-        if s.size:
-            sv_max = max(sv_max, float(s[0]))
+    -psi'(sigma)/2 over the retained singular values of g (shuffled mode n).
+
+    The retained count is over all I3 Fourier slices; the deviation of a
+    mirrored slice equals that of its stored conjugate.
+    """
+    g = mode_shuffle(g, n)
+    u, s, vh = _slice_svd(_fourier_slices(g), full_matrices=False)
+    sv_max = float(s.max(initial=0.0))
     if sv_max == 0.0:
         return 0.0, 0
-    dev = 0.0
-    retained = 0
-    for f, u, s, vt in slices:
-        keep = s > rel_rank_tol * sv_max
-        if not keep.any():
-            continue
-        comp = np.einsum("ij,ik,kj->j", u[:, keep].conj(), mh[:, :, f], vt[keep, :].conj().T)
-        expected = -0.5 * psi.deriv(s[keep])
-        dev = max(dev, float(np.abs(comp - expected).max()))
-        retained += int(keep.sum())
-    return dev, retained
+    mh = _fourier_slices(mode_shuffle(m, n))
+    comp = ((u.conj().swapaxes(1, 2) @ mh) * vh.conj()).sum(axis=2)
+    keep = s > rel_rank_tol * sv_max
+    dev = np.abs(comp - (-0.5 * psi.deriv(s)))[keep].max(initial=0.0)
+    return float(dev), int(keep[_mirror_index(g.shape[2])].sum())
 
 
 def _trace_stats(trace):
@@ -487,11 +483,11 @@ def solve(x, y, p1, p2, p3, config):
     max_iter without meeting the tolerance returns normally with
     ``diagnostics.converged`` False.
     """
-    x = require_finite(np.asarray(x, dtype=float), "HSI")
-    y = require_finite(np.asarray(y, dtype=float), "MSI")
-    p1 = require_finite(np.asarray(p1, dtype=float), "P1")
-    p2 = require_finite(np.asarray(p2, dtype=float), "P2")
-    p3 = require_finite(np.asarray(p3, dtype=float), "P3")
+    # aligned C-order inputs: a misaligned buffer changes the products' last bits
+    x, y, p1, p2, p3 = (
+        require_finite(np.require(v, float, ["C", "A"]), name)
+        for v, name in ((x, "HSI"), (y, "MSI"), (p1, "P1"), (p2, "P2"), (p3, "P3"))
+    )
     s = extract_subspace(x, config.r)
     problem = FusionProblem(x=x, y=y, p1=p1, p2=p2, p3=p3, s=s)
     psi = LogSurrogate(config.gamma)
@@ -503,12 +499,13 @@ def solve(x, y, p1, p2, p3, config):
                        eps_mode=config.eps_mode)
     state = initial_state(problem, config.rho0)
     res = residuals(state, problem)
-    t_prev = time.perf_counter()
+    grad = None
     while res.max() > eps and state.iter < config.max_iter:
+        t_start = time.perf_counter()
         # overflow here is the divergence path; the finite checks below
         # convert it into a typed error instead of a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            state = step_a(state, problem, tau)
+            state = step_a(state, problem, tau, grad)
             if not np.isfinite(state.a).all():
                 raise DivergenceError(
                     f"iterate 'a' became non-finite at iteration {state.iter}"
@@ -516,21 +513,28 @@ def solve(x, y, p1, p2, p3, config):
             state = step_g(state, 1, psi, problem)
             state = step_g(state, 2, psi, problem)
             rho_used = state.rho
-            state = update_multipliers(state, problem, config.nu)
-        _check_finite_state(state)
-        res = residuals(state, problem)
-        now = time.perf_counter()
+            tensors = _residual_tensors(state, problem)
+            state = update_multipliers(state, problem, config.nu, tensors)
+            _check_finite_state(state)
+            res = residuals(state, problem, tensors)
+            # the gradient at the new state is also the next iteration's step
+            grad = grad_a(state, problem)
+            norms = [np.linalg.norm(v) for v in (grad, state.mx, state.my)]
+        if not (np.isfinite(res).all() and np.isfinite(norms).all()):
+            raise DivergenceError(
+                f"a residual, gradient or multiplier norm became non-finite "
+                f"at iteration {state.iter}"
+            )
         diag.res_x.append(float(res[0]))
         diag.res_y.append(float(res[1]))
         diag.res_g1.append(float(res[2]))
         diag.res_g2.append(float(res[3]))
         diag.rho.append(float(rho_used))
         diag.objective.append(nms_tctv(state.a, psi))
-        diag.grad_norm.append(float(np.linalg.norm(grad_a(state, problem))))
-        diag.wall_time.append(now - t_prev)
-        diag.mx_norm.append(float(np.linalg.norm(state.mx)))
-        diag.my_norm.append(float(np.linalg.norm(state.my)))
-        t_prev = now
+        diag.grad_norm.append(float(norms[0]))
+        diag.mx_norm.append(float(norms[1]))
+        diag.my_norm.append(float(norms[2]))
+        diag.wall_time.append(time.perf_counter() - t_start)
     diag.iterations = state.iter
     diag.converged = bool(res.max() <= eps)
     diag.kkt = kkt_check(state, problem, psi, tau, eps, diag)

@@ -62,6 +62,8 @@ def mode_n_product(t, m, mode):
     """Mode-n product t x_n m: replaces dimension I_n of t by m.shape[0]."""
     t = np.asarray(t)
     m = np.asarray(m)
+    if t.ndim != 3:
+        raise DimensionError(f"expected a 3-way tensor, got ndim={t.ndim}")
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
     if mode not in (1, 2, 3):
@@ -71,9 +73,12 @@ def mode_n_product(t, m, mode):
             f"matrix has {m.shape[1]} columns but tensor mode {mode} "
             f"has size {t.shape[mode - 1]}"
         )
-    new_shape = list(t.shape)
-    new_shape[mode - 1] = m.shape[0]
-    return fold(m @ unfold(t, mode), mode, tuple(new_shape))
+    if mode == 1:  # each branch reads the C-order layout as it is, without copies
+        return np.tensordot(m, t, axes=(1, 0))
+    if mode == 2:
+        return np.matmul(m, t)
+    i1, i2, i3 = t.shape
+    return (t.reshape(i1 * i2, i3) @ m.T).reshape(i1, i2, m.shape[0])
 
 
 def mode_shuffle(t, n):

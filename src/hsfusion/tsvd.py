@@ -1,12 +1,12 @@
 """t-product algebra: t-SVD, tensor nuclear norms, non-convex variants, prox operators.
 
 Everything here works slice-wise in the mode-3 Fourier domain. For real input
-only the first floor(I3/2)+1 Fourier slices are factorized; the remaining ones
-are filled in by conjugate symmetry, which keeps the assembled factors exactly
-real (up to inverse-FFT rounding) and halves the SVD work. Fourier slices 0
-and Nyquist of a real tensor are real matrices and are factorized with the
-real-path SVD.
-"""
+only the first floor(I3/2)+1 Fourier slices are computed (rfft along the
+tubes) and factorized, in one batched SVD; the remaining slices are their
+conjugates, which the inverse rfft supplies, so assembled tensors are exactly
+real and the SVD work is halved. Fourier slices 0 and Nyquist of a real
+tensor have zero imaginary part, and the inverse rfft reads only their real
+part."""
 
 from dataclasses import dataclass
 
@@ -82,57 +82,60 @@ def t_product(a, b):
     return real_part(c)
 
 
-def _fourier_slice_pairs(n_tubes):
-    """Indices (f, mirror) covering the spectrum of a real signal once."""
-    half = n_tubes // 2
-    for f in range(half + 1):
-        yield f, (n_tubes - f) % n_tubes
+def _fourier_slices(t):
+    """Fourier slices 0..I3//2 of real t (rfft along the tubes), slice index first."""
+    return np.moveaxis(np.fft.rfft(t, axis=2), 2, 0)
+
+
+def _from_fourier_slices(slices, n_tubes):
+    """Real tensor whose Fourier slices 0..I3//2 are ``slices`` (inverse rfft)."""
+    return np.fft.irfft(np.moveaxis(slices, 0, 2), n=n_tubes, axis=2)
+
+
+def _mirror_index(n_tubes):
+    """Index into the I3//2+1 stored slices of each of the I3 Fourier slices.
+
+    Slice f of a real tensor is the conjugate of slice I3-f, with the same
+    singular values.
+    """
+    f = np.arange(n_tubes)
+    return np.minimum(f, n_tubes - f)
+
+
+def _slice_svd(slices, **kwargs):
+    """One batched SVD over stacked Fourier slices; errors name the first non-finite one."""
+    try:
+        return np.linalg.svd(slices, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        bad = [f for f, slab in enumerate(slices) if not np.isfinite(slab).all()]
+        where = f"Fourier slice {bad[0]}" if bad else "a Fourier slice"
+        raise FactorizationError(f"SVD failed on {where}: {exc}") from exc
 
 
 def t_svd(t):
     """t-SVD of a real 3-way tensor: t = u * s * v^T with orthogonal u, v.
 
-    Per-Fourier-slice SVDs, conjugate-mirrored so the inverse transform is
-    exactly real. Singular values within each slice come out nonnegative and
-    nonincreasing.
+    One SVD per stored Fourier slice; the inverse rfft supplies the mirrored
+    slices, so the factors are exactly real. Singular values within each
+    slice come out nonnegative and nonincreasing.
     """
     t = np.asarray(t, dtype=float)
     i1, i2, i3 = t.shape
-    th = fft_mode3(t)
-    uh = np.zeros((i1, i1, i3), dtype=complex)
-    sh = np.zeros((i1, i2, i3), dtype=complex)
-    vh = np.zeros((i2, i2, i3), dtype=complex)
-    k = min(i1, i2)
-    diag = np.arange(k)
-    for f, m in _fourier_slice_pairs(i3):
-        slab = th[:, :, f]
-        if f == m or f == 0:
-            slab = slab.real  # bins 0 and Nyquist of a real signal are real
-        try:
-            u, s, vt = np.linalg.svd(slab, full_matrices=True)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(f"SVD failed on Fourier slice {f}: {exc}") from exc
-        uh[:, :, f] = u
-        sh[diag, diag, f] = s
-        vh[:, :, f] = vt.conj().T
-        if m != f:
-            uh[:, :, m] = u.conj()
-            sh[diag, diag, m] = s
-            vh[:, :, m] = vh[:, :, f].conj()
+    u, s, vh = _slice_svd(_fourier_slices(t), full_matrices=True)
+    diag = np.arange(s.shape[1])
+    sh = np.zeros((s.shape[0], i1, i2))
+    sh[:, diag, diag] = s
     return TSvdFactors(
-        u=real_part(ifft_mode3(uh)),
-        s=real_part(ifft_mode3(sh)),
-        v=real_part(ifft_mode3(vh)),
+        u=_from_fourier_slices(u, i3),
+        s=_from_fourier_slices(sh, i3),
+        v=_from_fourier_slices(vh.conj().swapaxes(1, 2), i3),
     )
 
 
 def _fourier_singular_values(t):
     """Singular values of every Fourier slice, shape (I3, min(I1, I2))."""
-    th = np.moveaxis(fft_mode3(t), 2, 0)
-    try:
-        return np.linalg.svd(th, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"batched Fourier-slice SVD failed: {exc}") from exc
+    s = _slice_svd(_fourier_slices(t), compute_uv=False)
+    return s[_mirror_index(t.shape[2])]
 
 
 def tnn(t):
@@ -202,18 +205,6 @@ def ntpnn_prox(c, rho, psi):
     c = np.asarray(c, dtype=float)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    ch = fft_mode3(c)
-    out = np.zeros_like(ch)
-    for f, m in _fourier_slice_pairs(c.shape[2]):
-        slab = ch[:, :, f]
-        if f == m or f == 0:
-            slab = slab.real
-        try:
-            u, s, vt = np.linalg.svd(slab, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(f"SVD failed on Fourier slice {f}: {exc}") from exc
-        shrunk = prox_singular_values(s, rho, psi)
-        out[:, :, f] = (u * shrunk) @ vt
-        if m != f:
-            out[:, :, m] = out[:, :, f].conj()
-    return real_part(ifft_mode3(out))
+    u, s, vh = _slice_svd(_fourier_slices(c), full_matrices=False)
+    shrunk = prox_singular_values(s, rho, psi)
+    return _from_fourier_slices((u * shrunk[:, None, :]) @ vh, c.shape[2])

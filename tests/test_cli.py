@@ -332,6 +332,7 @@ def test_cli_error_on_bad_tensor_file(tmp_path, capsys):
     assert err.startswith("error:") and "\n" not in err.strip()
 
 
+@pytest.mark.filterwarnings("error")
 def test_fuse_divergence_exits_nonzero(pipeline_dir, tmp_path, capsys):
     code, _, err = _run(
         capsys, "fuse",

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,20 +11,26 @@ from hsfusion import (
     bicubic_upsample,
     diff_matrix,
     extract_subspace,
+    fft_mode3,
     gradient_tensor,
     kkt_check,
     lipschitz_tau,
     make_degradation,
     mode_n_product,
     mode_ntpnn,
+    mode_shuffle,
+    mode_unshuffle,
     operator_norm,
     psnr,
     simulate,
     solve,
     synth_scene,
+    t_product,
 )
+from hsfusion import solver as solver_module
 from hsfusion.solver import (
     FusionProblem,
+    _subgradient_deviation,
     grad_a,
     initial_state,
     l1_objective,
@@ -475,12 +483,52 @@ def test_solve_is_deterministic():
     assert np.array_equal(z1, z2)
 
 
+@pytest.mark.filterwarnings("error")
 def test_solve_raises_divergence_error_on_overflow():
     rng = np.random.default_rng(22)
     prob = _random_problem(rng, big=(8, 8, 6), small=(4, 4, 3), r=2)
     cfg = SolverConfig(r=2, rho0=1e307, eps=1e-30, max_iter=50)
     with pytest.raises(DivergenceError, match="iteration"):
         solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3, cfg)
+
+
+def _misaligned_readonly(a):
+    """A read-only copy of a whose data starts 30 bytes into a buffer."""
+    raw = bytes(30) + np.ascontiguousarray(a, dtype=float).tobytes()
+    view = np.frombuffer(raw, dtype=float, offset=30).reshape(np.shape(a))
+    assert not view.flags.aligned and not view.flags.writeable
+    return view
+
+
+def test_solve_does_not_depend_on_input_alignment():
+    # at this size a misaligned P2 changes the last bits of an uncopied solve
+    z, _, _ = synth_scene(SceneSpec(shape=(64, 64, 32), r=3, seed=14))
+    deg = make_degradation(z.shape, 4, 9, 3.3973, BROAD_BANDS)
+    x, y = simulate(z, deg)
+    inputs = (x, y, deg.p1, deg.p2, deg.p3)
+    cfg = SolverConfig(r=3, max_iter=3)
+    want, _ = solve(*inputs, cfg)
+    got, _ = solve(*(_misaligned_readonly(a) for a in inputs), cfg)
+    assert np.array_equal(got, want)
+
+
+def test_wall_time_covers_each_iteration_and_its_diagnostics(monkeypatch):
+    # every iteration's diagnostics take at least `pause`, which each entry must include
+    pause = 0.05
+    objective = solver_module.nms_tctv
+
+    def slow_objective(a, psi):
+        time.sleep(pause)
+        return objective(a, psi)
+
+    monkeypatch.setattr(solver_module, "nms_tctv", slow_objective)
+    _, deg, x, y = _small_instance()
+    t0 = time.perf_counter()
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=4))
+    total = time.perf_counter() - t0
+    assert diag.iterations == len(diag.wall_time) == 4
+    assert min(diag.wall_time) >= pause
+    assert sum(diag.wall_time) <= total
 
 
 def test_solve_rejects_non_finite_inputs():
@@ -493,6 +541,36 @@ def test_solve_rejects_non_finite_inputs():
 
 
 # ---------------------------------------------------------------- kkt
+
+
+def _subgradient_deviation_slice_loop(g, m, psi, n, rel_rank_tol=1e-8):
+    """_subgradient_deviation as a loop over all I3 slices of the full FFT."""
+    gh = fft_mode3(mode_shuffle(g, n))
+    mh = fft_mode3(mode_shuffle(m, n))
+    svds = [np.linalg.svd(gh[:, :, f], full_matrices=False) for f in range(gh.shape[2])]
+    sv_max = max(float(s[0]) for _, s, _ in svds)
+    dev, retained = 0.0, 0
+    for f, (u, s, vt) in enumerate(svds):
+        keep = s > rel_rank_tol * sv_max
+        comp = np.einsum("ij,ik,kj->j", u[:, keep].conj(), mh[:, :, f], vt[keep, :].conj().T)
+        if keep.any():
+            dev = max(dev, float(np.abs(comp + 0.5 * psi.deriv(s[keep])).max()))
+        retained += int(keep.sum())
+    return dev, retained
+
+
+@pytest.mark.parametrize("tubes", [1, 2, 3, 4, 7, 8])
+def test_subgradient_deviation_matches_slice_loop(tubes):
+    rng = np.random.default_rng(tubes)
+    for n in (1, 2):
+        # after the shuffle, g is a t-product of two thin tensors: rank one per slice
+        low = t_product(rng.standard_normal((5, 1, tubes)), rng.standard_normal((1, 4, tubes)))
+        g = mode_unshuffle(low, n)
+        m = mode_unshuffle(rng.standard_normal(low.shape), n)
+        dev, kept = _subgradient_deviation(g, m, PSI, n)
+        want_dev, want_kept = _subgradient_deviation_slice_loop(g, m, PSI, n)
+        assert kept == want_kept == tubes
+        assert dev == pytest.approx(want_dev, rel=1e-12)
 
 
 def test_kkt_zero_data_exact_point():

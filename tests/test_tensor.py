@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsfusion import (
     DimensionError,
@@ -129,6 +131,41 @@ def test_mode_product_distinct_modes_commute():
     left = mode_n_product(mode_n_product(t, a, 1), b, 2)
     right = mode_n_product(mode_n_product(t, b, 2), a, 1)
     assert np.allclose(left, right, rtol=1e-12)
+
+
+def _unfold_fold_product(t, m, mode):
+    """The mode-n product through the unfolding: unfold, matrix product, fold."""
+    new_shape = list(t.shape)
+    new_shape[mode - 1] = m.shape[0]
+    return fold(m @ unfold(t, mode), mode, tuple(new_shape))
+
+
+_SIZES = st.sampled_from([1, 2, 5, 6])  # I_n = 1, 2, odd, even
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    shape=st.tuples(_SIZES, _SIZES, _SIZES),
+    mode=st.sampled_from([1, 2, 3]),
+    rows=_SIZES,
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mode_product_matches_einsum_and_unfold_fold(shape, mode, rows, fortran, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    if fortran:
+        t = np.asfortranarray(t)
+    m = rng.standard_normal((rows, shape[mode - 1]))
+    axes = "abc"
+    out = axes.replace(axes[mode - 1], "z")
+    einsum = np.einsum(f"z{axes[mode - 1]},{axes}->{out}", m, t)
+    got = mode_n_product(t, m, mode)
+    assert got.shape == einsum.shape
+    # |t x_n m|_F <= |m|_F |t|_F bounds the result's scale
+    scale = 1e-12 * np.linalg.norm(m) * np.linalg.norm(t)
+    assert np.linalg.norm(got - einsum) <= scale
+    assert np.linalg.norm(got - _unfold_fold_product(t, m, mode)) <= scale
 
 
 def test_mode_product_rejects_mismatch():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsfusion import (
     DimensionError,
@@ -7,16 +9,19 @@ from hsfusion import (
     LogSurrogate,
     fft_mode3,
     identity_tensor,
+    ifft_mode3,
     mode_ntpnn,
     mode_shuffle,
     ntpnn,
     ntpnn_prox,
+    real_part,
     scalar_prox,
     t_product,
     t_svd,
     t_transpose,
     tnn,
 )
+from hsfusion.tsvd import _fourier_singular_values, prox_singular_values
 
 PSI = LogSurrogate(0.1)
 
@@ -290,3 +295,56 @@ def test_ntpnn_prox_local_optimality():
         scale = 10.0 ** rng.uniform(-3, 0)
         cand = g + scale * rng.standard_normal(g.shape)
         assert base <= objective(cand) + 1e-10
+
+
+# ------------------------------------------- batched kernel vs per-slice loops
+
+
+def _prox_slice_loop(c, rho, psi):
+    """ntpnn_prox as a loop over the full FFT spectrum: one SVD per slice pair,
+    real SVDs for slices 0 and Nyquist, conjugate mirroring for the rest."""
+    ch = fft_mode3(c)
+    out = np.zeros_like(ch)
+    n = c.shape[2]
+    for f in range(n // 2 + 1):
+        m = (n - f) % n
+        slab = ch[:, :, f]
+        if f == m or f == 0:
+            slab = slab.real
+        u, s, vt = np.linalg.svd(slab, full_matrices=False)
+        out[:, :, f] = (u * prox_singular_values(s, rho, psi)) @ vt
+        if m != f:
+            out[:, :, m] = out[:, :, f].conj()
+    return real_part(ifft_mode3(out))
+
+
+def _singular_values_slice_loop(t):
+    th = fft_mode3(t)
+    return np.array([np.linalg.svd(th[:, :, f], compute_uv=False) for f in range(t.shape[2])])
+
+
+_SIDES = st.sampled_from([1, 2, 3, 5])
+_TUBES = st.sampled_from([1, 2, 3, 4, 7, 10])  # 1-4, a larger odd and even length
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(i1=_SIDES, i2=_SIDES, i3=_TUBES, log_rho=st.integers(-2, 2), seed=st.integers(0, 2**32 - 1))
+def test_batched_kernel_matches_slice_loops(i1, i2, i3, log_rho, seed):
+    c = np.random.default_rng(seed).standard_normal((i1, i2, i3))
+    rho = 10.0**log_rho
+    tol = 1e-12 * np.linalg.norm(c)
+    assert np.linalg.norm(ntpnn_prox(c, rho, PSI) - _prox_slice_loop(c, rho, PSI)) <= tol
+    sv = _fourier_singular_values(c)
+    assert sv.shape == (i3, min(i1, i2))
+    assert np.abs(sv - _singular_values_slice_loop(c)).max() <= tol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(i1=_SIDES, i2=_SIDES, i3=_TUBES, seed=st.integers(0, 2**32 - 1))
+def test_tsvd_reconstructs_odd_and_even_tubes(i1, i2, i3, seed):
+    t = np.random.default_rng(seed).standard_normal((i1, i2, i3))
+    fac = t_svd(t)
+    assert fac.u.shape == (i1, i1, i3) and fac.v.shape == (i2, i2, i3)
+    assert np.linalg.norm(_reconstruct(fac) - t) <= 1e-12 * np.linalg.norm(t)
+    eye_u = identity_tensor(i1, i3)
+    assert np.linalg.norm(t_product(fac.u, t_transpose(fac.u)) - eye_u) <= 1e-12 * i1
