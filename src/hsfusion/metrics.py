@@ -18,12 +18,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, MetricUndefinedError
 from .tensor import mode_n_product
 
 PSNR_CAP_DB = 100.0
+# output rows that ssim filters at a time
+_SLAB_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,10 @@ class MetricReport:
 
 
 def _check_same_shape(ref, est):
-    ref = np.asarray(ref, dtype=float)
-    est = np.asarray(est, dtype=float)
+    # aligned C-order copies only where needed: every metric then sums in the
+    # same order whatever the input layout, and ssim's row slabs are contiguous
+    ref = np.require(ref, float, ["C", "A"])
+    est = np.require(est, float, ["C", "A"])
     if ref.shape != est.shape or ref.ndim != 3:
         raise DimensionError(
             f"metric inputs must be 3-way tensors of equal shape, "
@@ -80,15 +83,15 @@ def sam(ref, est):
     bands = ref.shape[2]
     r = ref.reshape(-1, bands)
     e = est.reshape(-1, bands)
-    nr = np.linalg.norm(r, axis=1)
-    ne = np.linalg.norm(e, axis=1)
+    nr = np.sqrt(np.einsum("ij,ij->i", r, r))
+    ne = np.sqrt(np.einsum("ij,ij->i", e, e))
     valid = (nr > 0) & (ne > 0)
     if not valid.any():
         raise MetricUndefinedError("SAM undefined: every pixel spectrum is zero")
     skipped = int((~valid).sum())
     if skipped:
         warnings.warn(f"SAM: skipped {skipped} pixel(s) with a zero spectrum")
-    cosang = np.einsum("ij,ij->i", r[valid], e[valid]) / (nr[valid] * ne[valid])
+    cosang = np.einsum("ij,ij->i", r, e)[valid] / (nr[valid] * ne[valid])
     return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).mean())
 
 
@@ -98,15 +101,34 @@ def _gaussian_window(size, sigma):
     return w / w.sum()
 
 
-def _filter_valid(img, w):
-    # separable 'valid' correlation with the 1-d window along both axes
-    out = np.einsum("ijk,k->ij", sliding_window_view(img, w.size, axis=0), w)
-    out = np.einsum("ijk,k->ij", sliding_window_view(out, w.size, axis=1), w)
-    return out
+def _toeplitz(w, rows):
+    """The rows x (rows + w.size - 1) Toeplitz matrix of a 'valid' correlation
+    with the window w."""
+    m = np.zeros((rows, rows + w.size - 1))
+    for i in range(rows):
+        m[i, i : i + w.size] = w
+    return m
+
+
+def _filter_columns(img, toeplitz, out):
+    """'Valid' correlation of img (rows, I2, bands) with the window along its
+    columns, written to out, in tiles of as many columns as toeplitz has rows."""
+    tile = toeplitz.shape[0]
+    reach = toeplitz.shape[1] - tile
+    n = out.shape[1]
+    for j in range(0, n, tile):
+        c = min(tile, n - j)
+        np.matmul(toeplitz[:c, : c + reach], img[:, j : j + c + reach], out=out[:, j : j + c])
 
 
 def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
-    """Single-scale structural similarity, averaged over bands."""
+    """Single-scale structural similarity, averaged over bands.
+
+    All bands are filtered at once, in slabs of output rows: a slab's input
+    rows are one contiguous block of the band-interleaved cube. The separable
+    window is applied down the rows as one banded (Toeplitz) product and
+    across the columns as batched products with tiles of the same matrix.
+    """
     ref, est = _check_same_shape(ref, est)
     if not peak > 0:
         raise ValueError(f"peak must be positive, got {peak}")
@@ -114,22 +136,51 @@ def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
         raise DimensionError(
             f"image {ref.shape[:2]} smaller than the {win_size}x{win_size} window"
         )
-    w = _gaussian_window(win_size, win_sigma)
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-    vals = []
-    for b in range(ref.shape[2]):
-        x = ref[:, :, b]
-        y = est[:, :, b]
-        mu_x = _filter_valid(x, w)
-        mu_y = _filter_valid(y, w)
-        var_x = _filter_valid(x * x, w) - mu_x * mu_x
-        var_y = _filter_valid(y * y, w) - mu_y * mu_y
-        cov = _filter_valid(x * y, w) - mu_x * mu_y
-        num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-        den = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
-        vals.append(float((num / den).mean()))
-    return float(np.mean(vals))
+    i1, i2, bands = ref.shape
+    reach = win_size - 1
+    n1, n2 = i1 - reach, i2 - reach
+    slab = min(_SLAB_ROWS, n1)
+    toeplitz = _toeplitz(_gaussian_window(win_size, win_sigma), slab)
+    # allocated once per call: a product map's input rows (then scratch for
+    # the SSIM map), its row-filtered slab, and the five local moments
+    prod = np.empty((slab + reach, i2, bands))
+    rowf = np.empty((slab, i2, bands))
+    moments = np.empty((5, slab, n2, bands))
+    scratch = prod.reshape(-1)[: moments[0].size].reshape(moments[0].shape)
+    sums = np.zeros(bands)
+    for r in range(0, n1, slab):
+        t = min(slab, n1 - r)
+        x = ref[r : r + t + reach]
+        y = est[r : r + t + reach]
+        down = toeplitz[:t, : t + reach]
+        mu = moments[:, :t]
+        for k, (a, b) in enumerate(((x, None), (y, None), (x, x), (y, y), (x, y))):
+            src = a if b is None else np.multiply(a, b, out=prod[: t + reach])
+            np.matmul(down, src.reshape(t + reach, -1), out=rowf[:t].reshape(t, -1))
+            _filter_columns(rowf[:t], toeplitz, mu[k])
+        mu_x, mu_y, sxx, syy, sxy = mu
+        # the numerator (2 mu_x mu_y + c1)(2 cov + c2) is formed as a quarter
+        # of itself, which is exact: halving and doubling do not round
+        s = scratch[:t]
+        np.multiply(mu_x, mu_y, out=s)
+        sxy -= s
+        sxy += 0.5 * c2
+        s += 0.5 * c1
+        s *= sxy
+        np.square(mu_x, out=mu_x)
+        np.square(mu_y, out=mu_y)
+        sxx -= mu_x
+        syy -= mu_y
+        sxx += syy
+        sxx += c2  # var_x + var_y + c2
+        mu_x += mu_y
+        mu_x += c1
+        mu_x *= sxx  # denominator
+        s /= mu_x
+        sums += s.sum(axis=(0, 1))
+    return float(np.mean(4.0 * sums / (n1 * n2)))
 
 
 def _keys_kernel(x, a=-0.5):

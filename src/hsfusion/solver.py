@@ -430,17 +430,23 @@ def _trace_stats(trace):
     return float(arr.max()), ratio
 
 
-def kkt_check(state, problem, psi, tau, eps, diagnostics=None, subgrad_tol=1e-4):
+def kkt_check(state, problem, psi, tau, eps, diagnostics=None, subgrad_tol=1e-4,
+              res=None, grad=None):
     """First-order optimality report for a finished state.
 
     Checks (i) the four constraint residuals against 10*eps, (ii) the norm of
     the smooth gradient against 10*eps*tau, (iii) the Fourier singular-value
     relation between each gradient multiplier and -psi'(sigma)/2, and (iv)
     finiteness of the data-multiplier norm traces, with their final/median
-    growth ratios reported.
+    growth ratios reported. ``res`` (the :func:`residuals` norms) and ``grad``
+    (``grad_a(state, problem)``) are those of ``state`` when the caller
+    already has them.
     """
-    res = residuals(state, problem)
-    gnorm = float(np.linalg.norm(grad_a(state, problem)))
+    if res is None:
+        res = residuals(state, problem)
+    if grad is None:
+        grad = grad_a(state, problem)
+    gnorm = float(np.linalg.norm(grad))
     dev1, kept1 = _subgradient_deviation(state.g1, state.m1, psi, 2)
     dev2, kept2 = _subgradient_deviation(state.g2, state.m2, psi, 1)
     mx_trace = diagnostics.mx_norm if diagnostics is not None else []
@@ -518,6 +524,7 @@ def solve(x, y, p1, p2, p3, config):
             _check_finite_state(state)
             res = residuals(state, problem, tensors)
             # the gradient at the new state is also the next iteration's step
+            # (or, after the last iteration, kkt_check's)
             grad = grad_a(state, problem)
             norms = [np.linalg.norm(v) for v in (grad, state.mx, state.my)]
         if not (np.isfinite(res).all() and np.isfinite(norms).all()):
@@ -537,6 +544,6 @@ def solve(x, y, p1, p2, p3, config):
         diag.wall_time.append(time.perf_counter() - t_start)
     diag.iterations = state.iter
     diag.converged = bool(res.max() <= eps)
-    diag.kkt = kkt_check(state, problem, psi, tau, eps, diag)
+    diag.kkt = kkt_check(state, problem, psi, tau, eps, diag, res=res, grad=grad)
     z_hat = mode_n_product(state.a, s, 3)
     return z_hat, diag

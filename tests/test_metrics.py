@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hsfusion import (
     DimensionError,
@@ -210,6 +213,61 @@ def test_ssim_anticorrelated_binary_image():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def _ssim_per_band(ref, est, peak, size=11, sigma=1.5):
+    """ssim as a loop over bands, each filtered by einsums over sliding windows."""
+    k = np.arange(size) - (size - 1) / 2
+    w = np.exp(-(k**2) / (2 * sigma**2))
+    w /= w.sum()
+
+    def filter_valid(img):
+        out = np.einsum("ijk,k->ij", sliding_window_view(img, size, axis=0), w)
+        return np.einsum("ijk,k->ij", sliding_window_view(out, size, axis=1), w)
+
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    vals = []
+    for b in range(ref.shape[2]):
+        x = ref[:, :, b]
+        y = est[:, :, b]
+        mu_x = filter_valid(x)
+        mu_y = filter_valid(y)
+        var_x = filter_valid(x * x) - mu_x * mu_x
+        var_y = filter_valid(y * y) - mu_y * mu_y
+        cov = filter_valid(x * y) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+        den = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
+        vals.append(float((num / den).mean()))
+    return float(np.mean(vals))
+
+
+# ssim filters up to 16 output rows at a time, and columns in tiles as wide
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    i1=st.integers(11, 60),
+    i2=st.integers(11, 60),
+    bands=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(i1=11, i2=11, bands=1, seed=0)  # one output pixel
+@example(i1=27, i2=60, bands=9, seed=1)  # a one-row last slab; a ragged last tile
+@example(i1=42, i2=42, bands=2, seed=2)  # two full slabs and tiles
+def test_ssim_matches_per_band_path(i1, i2, bands, seed):
+    rng = np.random.default_rng(seed)
+    ref = rng.random((i1, i2, bands))
+    est = np.clip(ref + rng.normal(0.0, 0.2, ref.shape), 0.0, None)
+    want = _ssim_per_band(ref, est, peak=1.0)
+    assert ssim(ref, est, peak=1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_ssim_matches_oracle_across_slab_edges():
+    # 35x28 output pixels: row slabs of 16, 16 and 3, column tiles of 16 and 12
+    rng = np.random.default_rng(15)
+    ref = rng.random((45, 38, 3))
+    est = np.clip(ref + rng.normal(0.0, 0.1, ref.shape), 0.0, 1.0)
+    want = _ssim_windowed_oracle(ref, est, peak=1.0)
+    assert ssim(ref, est, peak=1.0) == pytest.approx(want, rel=1e-10)
+
+
 def test_ssim_rejects_small_images():
     with pytest.raises(DimensionError):
         ssim(np.zeros((8, 20, 1)), np.zeros((8, 20, 1)), 1.0)
@@ -246,3 +304,20 @@ def test_evaluate_report_defaults():
     assert rep.ergas == 0.0
     assert rep.sam == pytest.approx(0.0, abs=1e-5)
     assert rep.ssim == pytest.approx(1.0, abs=1e-12)
+
+
+def _misaligned_readonly(a):
+    """A read-only copy of a whose data starts 30 bytes into a buffer."""
+    raw = bytes(30) + np.ascontiguousarray(a, dtype=float).tobytes()
+    view = np.frombuffer(raw, dtype=float, offset=30).reshape(a.shape)
+    assert not view.flags.aligned and not view.flags.writeable
+    return view
+
+
+@pytest.mark.parametrize("layout", [_misaligned_readonly, np.asfortranarray])
+def test_evaluate_does_not_depend_on_input_layout(layout):
+    rng = np.random.default_rng(16)
+    ref = rng.random((45, 38, 9)) + 0.05
+    est = ref + rng.normal(0.0, 0.05, ref.shape)
+    want = evaluate(ref, est, ratio=4.0)
+    assert evaluate(layout(ref), layout(est), ratio=4.0) == want

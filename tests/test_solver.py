@@ -603,6 +603,33 @@ def test_kkt_on_converged_small_run():
     assert rep.passed
 
 
+@pytest.mark.parametrize("eps, iterations", [(1e-5, 5), (1e6, 0)])  # loop runs / never runs
+def test_kkt_check_reuses_final_residuals_and_gradient(monkeypatch, eps, iterations):
+    checks, grads = [], []
+    check = solver_module.kkt_check
+    gradient = solver_module.grad_a
+
+    def recording_check(*args, **kwargs):
+        checks.append((args, kwargs))
+        return check(*args, **kwargs)
+
+    def counting_gradient(state, problem):
+        grads.append(state.iter)
+        return gradient(state, problem)
+
+    monkeypatch.setattr(solver_module, "kkt_check", recording_check)
+    monkeypatch.setattr(solver_module, "grad_a", counting_gradient)
+    _, deg, x, y = _small_instance()
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=5, eps=eps))
+    assert diag.iterations == iterations
+    # the first step's gradient, then one per iteration, which the next step
+    # and kkt_check reuse; kkt_check's own when the loop never ran
+    assert len(grads) == iterations + 1
+    ((args, kwargs),) = checks
+    assert kwargs["res"] is not None
+    assert check(*args).to_dict() == diag.kkt.to_dict()
+
+
 def test_multiplier_trace_plateaus_under_slow_penalty_growth():
     # near-constant penalty: dual ascent does the work and the multiplier
     # norms settle, so the final/median growth ratio stays small
