@@ -48,25 +48,31 @@ def _check_same_shape(ref, est):
     return ref, est
 
 
-def psnr(ref, est, peak, cap=PSNR_CAP_DB, per_band=True):
-    """Peak signal-to-noise ratio in dB (per-band average by default)."""
-    ref, est = _check_same_shape(ref, est)
+def _band_mse(ref, est):
+    err2 = ref - est
+    err2 *= err2
+    return err2.mean(axis=(0, 1))
+
+
+def _psnr(mse, peak, cap):
     if not peak > 0:
         raise ValueError(f"peak must be positive, got {peak}")
-    err2 = (ref - est) ** 2
-    mse = err2.mean(axis=(0, 1)) if per_band else np.array([err2.mean()])
     out = np.full(mse.shape, float(cap))
     pos = mse > 0
     out[pos] = 10.0 * np.log10(peak * peak / mse[pos])
     return float(out.mean())
 
 
-def ergas(ref, est, ratio):
-    """Relative dimensionless global synthesis error (lower is better)."""
+def psnr(ref, est, peak, cap=PSNR_CAP_DB, per_band=True):
+    """Peak signal-to-noise ratio in dB (per-band average by default)."""
     ref, est = _check_same_shape(ref, est)
+    mse = _band_mse(ref, est) if per_band else np.array([np.mean((ref - est) ** 2)])
+    return _psnr(mse, peak, cap)
+
+
+def _ergas(mse, ref, ratio):
     if not ratio > 0:
         raise ValueError(f"resolution ratio must be positive, got {ratio}")
-    mse = ((ref - est) ** 2).mean(axis=(0, 1))
     mu = ref.mean(axis=(0, 1))
     usable = mu != 0
     if not usable.any():
@@ -75,6 +81,12 @@ def ergas(ref, est, ratio):
     if skipped:
         warnings.warn(f"ERGAS: excluded {skipped} zero-mean reference band(s)")
     return float(100.0 / ratio * np.sqrt(np.mean(mse[usable] / mu[usable] ** 2)))
+
+
+def ergas(ref, est, ratio):
+    """Relative dimensionless global synthesis error (lower is better)."""
+    ref, est = _check_same_shape(ref, est)
+    return _ergas(_band_mse(ref, est), ref, ratio)
 
 
 def sam(ref, est):
@@ -234,9 +246,10 @@ def evaluate(ref, est, peak=None, ratio=1.0):
             raise MetricUndefinedError(
                 "peak undefined: reference maximum is not positive"
             )
+    mse = _band_mse(ref, est)  # shared by PSNR and ERGAS
     return MetricReport(
-        psnr=psnr(ref, est, peak),
-        ergas=ergas(ref, est, ratio),
+        psnr=_psnr(mse, peak, PSNR_CAP_DB),
+        ergas=_ergas(mse, ref, ratio),
         sam=sam(ref, est),
         ssim=ssim(ref, est, peak),
     )

@@ -12,7 +12,7 @@ import numpy as np
 
 from .tensor import (
     atv_norm,
-    diff_matrix,
+    difference,
     mode_n_product,
     mode_shuffle,
     tv_norm,
@@ -22,8 +22,7 @@ from .tsvd import _fourier_singular_values, mode_ntpnn, tnn
 
 def gradient_tensor(a, n):
     """First-order difference of a along mode n: a x_n D_{I_n}."""
-    a = np.asarray(a)
-    return mode_n_product(a, diff_matrix(a.shape[n - 1]), n)
+    return difference(a, n)
 
 
 def tctv(a, modes=(1, 2)):

@@ -23,6 +23,8 @@ from .errors import DimensionError, DivergenceError
 from .regularizer import nms_tctv
 from .tensor import (
     diff_matrix,
+    difference,
+    difference_adjoint,
     mode_n_product,
     mode_shuffle,
     mode_unshuffle,
@@ -75,7 +77,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FusionProblem:
-    """Observations, operators, and the fixed spectral basis, with cached products."""
+    """Observations, operators, and the fixed spectral basis; ``q`` is P3 s."""
 
     x: np.ndarray
     y: np.ndarray
@@ -83,14 +85,7 @@ class FusionProblem:
     p2: np.ndarray
     p3: np.ndarray
     s: np.ndarray
-    d1: np.ndarray = field(init=False, repr=False)
-    d2: np.ndarray = field(init=False, repr=False)
     q: np.ndarray = field(init=False, repr=False)
-    p1tp1: np.ndarray = field(init=False, repr=False)
-    p2tp2: np.ndarray = field(init=False, repr=False)
-    qtq: np.ndarray = field(init=False, repr=False)
-    d1td1: np.ndarray = field(init=False, repr=False)
-    d2td2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         i1_lo, i1 = self.p1.shape
@@ -110,14 +105,7 @@ class FusionProblem:
             raise DimensionError(
                 f"spectral basis has {self.s.shape[0]} rows, expected {i3}"
             )
-        object.__setattr__(self, "d1", diff_matrix(i1))
-        object.__setattr__(self, "d2", diff_matrix(i2))
         object.__setattr__(self, "q", self.p3 @ self.s)
-        object.__setattr__(self, "p1tp1", self.p1.T @ self.p1)
-        object.__setattr__(self, "p2tp2", self.p2.T @ self.p2)
-        object.__setattr__(self, "qtq", self.q.T @ self.q)
-        object.__setattr__(self, "d1td1", self.d1.T @ self.d1)
-        object.__setattr__(self, "d2td2", self.d2.T @ self.d2)
 
     @property
     def spatial_shape(self):
@@ -295,45 +283,27 @@ def initial_state(problem, rho0):
     )
 
 
-def _forward_x(a, problem):
-    return mode_n_product(
-        mode_n_product(mode_n_product(a, problem.p1, 1), problem.p2, 2),
-        problem.s,
-        3,
-    )
-
-
-def _forward_y(a, problem):
-    return mode_n_product(a, problem.q, 3)
-
-
-def grad_a(state, problem):
-    """Gradient of the smooth augmented objective in a (six-term expression)."""
-    a, rho = state.a, state.rho
-    quad = (
-        mode_n_product(mode_n_product(a, problem.p1tp1, 1), problem.p2tp2, 2)
-        + mode_n_product(a, problem.qtq, 3)
-        + mode_n_product(a, problem.d1td1, 1)
-        + mode_n_product(a, problem.d2td2, 2)
-    )
+def grad_a(state, problem, tensors=None):
+    """Gradient of the smooth augmented objective in a: -2 A^T(r + m/rho),
+    where r are the constraint residuals b - A a and A^T is the adjoint of the
+    four constraint maps; ``tensors`` are as in :func:`residuals`."""
+    rho = state.rho
+    rx, ry, r1, r2 = tensors if tensors is not None else _residual_tensors(state, problem)
     # S^T first: it shrinks the tensor that the spatial back-projections enlarge
-    xt = mode_n_product(problem.x + state.mx / rho, problem.s.T, 3)
-    data_x = mode_n_product(mode_n_product(xt, problem.p1.T, 1), problem.p2.T, 2)
-    data_y = mode_n_product(problem.y + state.my / rho, problem.q.T, 3)
-    data_g1 = mode_n_product(state.g1 + state.m1 / rho, problem.d1.T, 1)
-    data_g2 = mode_n_product(state.g2 + state.m2 / rho, problem.d2.T, 2)
-    return 2.0 * (quad - data_x - data_y - data_g1 - data_g2)
+    xt = mode_n_product(rx + state.mx / rho, problem.s.T, 3)
+    back = mode_n_product(mode_n_product(xt, problem.p1.T, 1), problem.p2.T, 2)
+    back += mode_n_product(ry + state.my / rho, problem.q.T, 3)
+    back += difference_adjoint(r1 + state.m1 / rho, 1)
+    back += difference_adjoint(r2 + state.m2 / rho, 2)
+    return -2.0 * back
 
 
 def l1_objective(state, problem):
-    """Smooth augmented objective in a (the quantity grad_a differentiates)."""
-    rx = problem.x + state.mx / state.rho - _forward_x(state.a, problem)
-    ry = problem.y + state.my / state.rho - _forward_y(state.a, problem)
-    r1 = state.g1 + state.m1 / state.rho - mode_n_product(state.a, problem.d1, 1)
-    r2 = state.g2 + state.m2 / state.rho - mode_n_product(state.a, problem.d2, 2)
-    return float(
-        np.sum(rx * rx) + np.sum(ry * ry) + np.sum(r1 * r1) + np.sum(r2 * r2)
-    )
+    """Smooth augmented objective in a, the sum of |r + m/rho|_F^2 over the four
+    constraints (the quantity grad_a differentiates)."""
+    ms = (state.mx, state.my, state.m1, state.m2)
+    return float(sum(np.sum((r + m / state.rho) ** 2)
+                     for r, m in zip(_residual_tensors(state, problem), ms)))
 
 
 def step_a(state, problem, tau, grad=None):
@@ -348,9 +318,8 @@ def step_a(state, problem, tau, grad=None):
 
 def step_g(state, n, psi, problem):
     """Exact g_n update through the shuffled singular-value prox."""
-    d = problem.d1 if n == 1 else problem.d2
     m = state.m1 if n == 1 else state.m2
-    target = mode_n_product(state.a, d, n) - m / state.rho
+    target = difference(state.a, n) - m / state.rho
     shrunk = ntpnn_prox(mode_shuffle(target, 3 - n), state.rho, psi)
     g_new = mode_unshuffle(shrunk, 3 - n)
     if n == 1:
@@ -360,11 +329,12 @@ def step_g(state, n, psi, problem):
 
 def _residual_tensors(state, problem):
     """The four constraint residual tensors (x, y, g1, g2) of ``state``."""
+    a_lo = mode_n_product(mode_n_product(state.a, problem.p1, 1), problem.p2, 2)
     return (
-        problem.x - _forward_x(state.a, problem),
-        problem.y - _forward_y(state.a, problem),
-        state.g1 - mode_n_product(state.a, problem.d1, 1),
-        state.g2 - mode_n_product(state.a, problem.d2, 2),
+        problem.x - mode_n_product(a_lo, problem.s, 3),
+        problem.y - mode_n_product(state.a, problem.q, 3),
+        state.g1 - difference(state.a, 1),
+        state.g2 - difference(state.a, 2),
     )
 
 
@@ -525,7 +495,7 @@ def solve(x, y, p1, p2, p3, config):
             res = residuals(state, problem, tensors)
             # the gradient at the new state is also the next iteration's step
             # (or, after the last iteration, kkt_check's)
-            grad = grad_a(state, problem)
+            grad = grad_a(state, problem, tensors)
             norms = [np.linalg.norm(v) for v in (grad, state.mx, state.my)]
         if not (np.isfinite(res).all() and np.isfinite(norms).all()):
             raise DivergenceError(

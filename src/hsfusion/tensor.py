@@ -23,20 +23,49 @@ def diff_matrix(n):
     """(n-1) x n first-order difference matrix: 1 on the diagonal, -1 beside it."""
     if n < 2:
         raise DimensionError(f"difference matrix needs n >= 2, got {n}")
-    d = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    d[idx, idx] = 1.0
-    d[idx, idx + 1] = -1.0
-    return d
+    eye = np.eye(n)
+    return eye[:-1] - eye[1:]
+
+
+def _check_mode(t, mode):
+    if t.ndim != 3:
+        raise DimensionError(f"expected a 3-way tensor, got ndim={t.ndim}")
+    if mode not in (1, 2, 3):
+        raise DimensionError(f"mode must be 1, 2 or 3, got {mode}")
+
+
+def difference(t, mode):
+    """t x_n D_{I_n} as a stencil (t[i] - t[i+1] along mode n); equals
+    ``mode_n_product(t, diff_matrix(I_n), mode)`` bit for bit."""
+    t = np.asarray(t, dtype=float)
+    _check_mode(t, mode)
+    if t.shape[mode - 1] < 2:
+        raise DimensionError(f"difference matrix needs n >= 2, got {t.shape[mode - 1]}")
+    w = np.moveaxis(t, mode - 1, 0)
+    return np.moveaxis(w[:-1] - w[1:], 0, mode - 1)
+
+
+def difference_adjoint(v, mode):
+    """v x_n D_{I_n}^T as a stencil (v[j] - v[j-1] along mode n, with v[-1] and
+    v[I_n - 1] read as zero), where I_n is one more than v's mode-n size;
+    equals ``mode_n_product(v, diff_matrix(I_n).T, mode)`` bit for bit."""
+    v = np.asarray(v, dtype=float)
+    _check_mode(v, mode)
+    if v.shape[mode - 1] < 1:
+        raise DimensionError(f"difference matrix needs n >= 2, got {v.shape[mode - 1] + 1}")
+    shape = list(v.shape)
+    shape[mode - 1] += 1
+    out = np.zeros(shape)
+    o, w = np.moveaxis(out, mode - 1, 0), np.moveaxis(v, mode - 1, 0)
+    o[:-1] = w
+    o[1:] -= w
+    return out
 
 
 def unfold(t, mode):
     """Mode-n unfolding: I_n rows, remaining modes on columns (lower mode fastest)."""
     t = np.asarray(t)
-    if t.ndim != 3:
-        raise DimensionError(f"expected a 3-way tensor, got ndim={t.ndim}")
-    if mode not in (1, 2, 3):
-        raise DimensionError(f"mode must be 1, 2 or 3, got {mode}")
+    _check_mode(t, mode)
     a = np.moveaxis(t, mode - 1, 0)
     return a.reshape(t.shape[mode - 1], -1, order="F")
 
@@ -62,12 +91,9 @@ def mode_n_product(t, m, mode):
     """Mode-n product t x_n m: replaces dimension I_n of t by m.shape[0]."""
     t = np.asarray(t)
     m = np.asarray(m)
-    if t.ndim != 3:
-        raise DimensionError(f"expected a 3-way tensor, got ndim={t.ndim}")
+    _check_mode(t, mode)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
-    if mode not in (1, 2, 3):
-        raise DimensionError(f"mode must be 1, 2 or 3, got {mode}")
     if m.shape[1] != t.shape[mode - 1]:
         raise DimensionError(
             f"matrix has {m.shape[1]} columns but tensor mode {mode} "
@@ -130,29 +156,15 @@ def real_part(c, rel_tol=1e-8):
     return re
 
 
-def _spatial_gradients(t):
-    t = np.asarray(t)
-    if t.ndim != 3:
-        raise DimensionError(f"expected a 3-way tensor, got ndim={t.ndim}")
-    i1, i2 = t.shape[0], t.shape[1]
-    if i1 < 2 or i2 < 2:
-        raise DimensionError(
-            f"TV norms need both spatial dimensions >= 2, got ({i1}, {i2})"
-        )
-    g1 = mode_n_product(t, diff_matrix(i1), 1)
-    g2 = mode_n_product(t, diff_matrix(i2), 2)
-    return g1, g2
-
-
 def tv_norm(t):
     """Isotropic TV: sqrt(|t x_1 D|_F^2 + |t x_2 D|_F^2)."""
-    g1, g2 = _spatial_gradients(t)
+    g1, g2 = difference(t, 1), difference(t, 2)
     return float(np.sqrt(np.sum(g1 * g1) + np.sum(g2 * g2)))
 
 
 def atv_norm(t):
     """Anisotropic TV: entrywise l1 norm of both spatial gradient tensors."""
-    g1, g2 = _spatial_gradients(t)
+    g1, g2 = difference(t, 1), difference(t, 2)
     return float(np.abs(g1).sum() + np.abs(g2).sum())
 
 

@@ -44,39 +44,44 @@ def write_tensor(path, t):
 
 
 def read_tensor(path):
-    """Read a .cmt file; raises TensorFileError with a byte offset on damage."""
+    """Read a .cmt file into an array of its own size (no staging copy); raises
+    TensorFileError with a byte offset on damage."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER_FIXED:
-        raise TensorFileError(
-            f"truncated header: file is {len(data)} bytes (error at offset {len(data)})"
-        )
-    if data[:4] != MAGIC:
-        raise TensorFileError(
-            f"bad magic {data[:4]!r} at offset 0 (expected {MAGIC!r})"
-        )
-    if data[4] != DTYPE_FLOAT64:
-        raise TensorFileError(f"unsupported dtype code 0x{data[4]:02x} at offset 4")
-    ndim = data[5]
-    if ndim not in (2, 3):
-        raise TensorFileError(f"unsupported ndim {ndim} at offset 5")
-    header_len = _HEADER_FIXED + 8 * ndim
-    if len(data) < header_len:
-        raise TensorFileError(
-            f"truncated shape header (error at offset {len(data)})"
-        )
-    shape = struct.unpack(f"<{ndim}Q", data[_HEADER_FIXED:header_len])
-    if any(d == 0 for d in shape):
-        raise TensorFileError(f"zero dimension in shape {shape} at offset 6")
-    count = int(np.prod(shape))
-    expected = header_len + 8 * count
-    if len(data) != expected:
-        raise TensorFileError(
-            f"payload length mismatch: expected {expected} bytes, found {len(data)} "
-            f"(error at offset {min(len(data), expected)})"
-        )
-    arr = np.frombuffer(data, dtype="<f8", count=count, offset=header_len)
-    arr = arr.reshape(shape).astype(float)
+        size = os.fstat(fh.fileno()).st_size
+        data = fh.read(_HEADER_FIXED + 8 * 3)
+        if len(data) < _HEADER_FIXED:
+            raise TensorFileError(
+                f"truncated header: file is {len(data)} bytes (error at offset {len(data)})"
+            )
+        if data[:4] != MAGIC:
+            raise TensorFileError(
+                f"bad magic {data[:4]!r} at offset 0 (expected {MAGIC!r})"
+            )
+        if data[4] != DTYPE_FLOAT64:
+            raise TensorFileError(f"unsupported dtype code 0x{data[4]:02x} at offset 4")
+        ndim = data[5]
+        if ndim not in (2, 3):
+            raise TensorFileError(f"unsupported ndim {ndim} at offset 5")
+        header_len = _HEADER_FIXED + 8 * ndim
+        if len(data) < header_len:
+            raise TensorFileError(
+                f"truncated shape header (error at offset {len(data)})"
+            )
+        shape = struct.unpack(f"<{ndim}Q", data[_HEADER_FIXED:header_len])
+        if any(d == 0 for d in shape):
+            raise TensorFileError(f"zero dimension in shape {shape} at offset 6")
+        count = int(np.prod(shape))
+        expected = header_len + 8 * count
+        if size != expected:
+            raise TensorFileError(
+                f"payload length mismatch: expected {expected} bytes, found {size} "
+                f"(error at offset {min(size, expected)})"
+            )
+        fh.seek(header_len)
+        arr = np.fromfile(fh, dtype="<f8", count=count)
+    if arr.size != count:
+        raise TensorFileError(f"payload of {path} shrank while it was read")
+    arr = arr.reshape(shape).astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise TensorFileError(f"non-finite values in payload of {path}")
     return arr

@@ -306,6 +306,17 @@ def test_evaluate_report_defaults():
     assert rep.ssim == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("ratio", [1.0, 4.0])
+def test_evaluate_shares_squared_error_with_psnr_and_ergas(ratio):
+    rng = np.random.default_rng(17)
+    ref = rng.random((23, 17, 6)) + 0.05
+    est = ref + rng.normal(0.0, 0.03, ref.shape)
+    est[:, :, 2] = ref[:, :, 2]  # one zero-error band, capped in PSNR
+    rep = evaluate(ref, est, ratio=ratio)
+    assert rep.psnr == psnr(ref, est, float(ref.max()))
+    assert rep.ergas == ergas(ref, est, ratio)
+
+
 def _misaligned_readonly(a):
     """A read-only copy of a whose data starts 30 bytes into a buffer."""
     raw = bytes(30) + np.ascontiguousarray(a, dtype=float).tobytes()

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsfusion import (
     DivergenceError,
@@ -30,6 +32,7 @@ from hsfusion import (
 from hsfusion import solver as solver_module
 from hsfusion.solver import (
     FusionProblem,
+    _residual_tensors,
     _subgradient_deviation,
     grad_a,
     initial_state,
@@ -249,10 +252,77 @@ def test_grad_multiplier_scaling_is_linear():
             3,
         )
         + mode_n_product(state.my / rho, prob.q.T, 3)
-        + mode_n_product(state.m1 / rho, prob.d1.T, 1)
-        + mode_n_product(state.m2 / rho, prob.d2.T, 2)
+        + mode_n_product(state.m1 / rho, diff_matrix(state.a.shape[0]).T, 1)
+        + mode_n_product(state.m2 / rho, diff_matrix(state.a.shape[1]).T, 2)
     )
     assert np.allclose(g2 - g1, shift, rtol=1e-10, atol=1e-12)
+
+
+def _gram_gradient(state, problem):
+    """The gradient as the six-term Gram expression
+    2 (A^T A a - A^T (b + m/rho)), with dense P^T P, Q^T Q and D^T D."""
+    a, rho = state.a, state.rho
+    p1, p2, q, s = problem.p1, problem.p2, problem.q, problem.s
+    d1, d2 = diff_matrix(a.shape[0]), diff_matrix(a.shape[1])
+    quad = (
+        mode_n_product(mode_n_product(a, p1.T @ p1, 1), p2.T @ p2, 2)
+        + mode_n_product(a, q.T @ q, 3)
+        + mode_n_product(a, d1.T @ d1, 1)
+        + mode_n_product(a, d2.T @ d2, 2)
+    )
+    xt = mode_n_product(problem.x + state.mx / rho, s.T, 3)
+    data_x = mode_n_product(mode_n_product(xt, p1.T, 1), p2.T, 2)
+    data_y = mode_n_product(problem.y + state.my / rho, q.T, 3)
+    data_g1 = mode_n_product(state.g1 + state.m1 / rho, d1.T, 1)
+    data_g2 = mode_n_product(state.g2 + state.m2 / rho, d2.T, 2)
+    return 2.0 * (quad - data_x - data_y - data_g1 - data_g2)
+
+
+_SPATIAL = st.integers(2, 9)  # odd and even sides, down to I_n = 2
+
+
+@st.composite
+def _problem_and_state(draw):
+    i1, i2 = draw(_SPATIAL), draw(_SPATIAL)
+    r = draw(st.integers(1, 4))
+    i3 = draw(st.integers(r, 9))
+    small = (draw(st.integers(1, i1)), draw(st.integers(1, i2)), draw(st.integers(1, i3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prob = _random_problem(rng, big=(i1, i2, i3), small=small, r=r)
+    return prob, _random_state(rng, prob, rho=draw(st.sampled_from([1e-3, 0.8, 50.0])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_problem_and_state())
+def test_grad_from_residuals_matches_gram_expression(case):
+    prob, state = case
+    want = _gram_gradient(state, prob)
+    got = grad_a(state, prob)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # the residual tensors a caller already holds give the same gradient
+    tensors = _residual_tensors(state, prob)
+    assert grad_a(state, prob, tensors).tobytes() == got.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_problem_and_state())
+def test_grad_applies_the_adjoint_of_the_constraint_maps(case):
+    # <A a, v> = <a, A^T v>, with A^T v read off grad_a at zero multipliers:
+    # there grad_a(state, problem, v) = -2 A^T v
+    prob, state = case
+    a = state.a
+    zero = initial_state(prob, state.rho)
+    forward = (
+        mode_n_product(mode_n_product(mode_n_product(a, prob.p1, 1), prob.p2, 2), prob.s, 3),
+        mode_n_product(a, prob.q, 3),
+        mode_n_product(a, diff_matrix(a.shape[0]), 1),
+        mode_n_product(a, diff_matrix(a.shape[1]), 2),
+    )
+    v = (state.mx, state.my, state.m1, state.m2)
+    lhs = sum(float(np.vdot(f, w)) for f, w in zip(forward, v))
+    rhs = float(np.vdot(a, -0.5 * grad_a(zero, prob, v)))
+    scale = np.sqrt(sum(np.vdot(f, f) for f in forward) * sum(np.vdot(w, w) for w in v))
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------- steps
@@ -297,7 +367,7 @@ def test_step_a_double_tau_halves_the_move():
 
 
 def _g_subproblem_objective(g, n, state, problem, psi):
-    d = problem.d1 if n == 1 else problem.d2
+    d = diff_matrix(state.a.shape[n - 1])
     m = state.m1 if n == 1 else state.m2
     misfit = g + m / state.rho - mode_n_product(state.a, d, n)
     return mode_ntpnn(g, 3 - n, psi) + state.rho * np.linalg.norm(misfit) ** 2
@@ -613,9 +683,10 @@ def test_kkt_check_reuses_final_residuals_and_gradient(monkeypatch, eps, iterati
         checks.append((args, kwargs))
         return check(*args, **kwargs)
 
-    def counting_gradient(state, problem):
-        grads.append(state.iter)
-        return gradient(state, problem)
+    def counting_gradient(*args, **kwargs):
+        tensors = args[2] if len(args) > 2 else kwargs.get("tensors")
+        grads.append(tensors is not None)
+        return gradient(*args, **kwargs)
 
     monkeypatch.setattr(solver_module, "kkt_check", recording_check)
     monkeypatch.setattr(solver_module, "grad_a", counting_gradient)
@@ -625,6 +696,8 @@ def test_kkt_check_reuses_final_residuals_and_gradient(monkeypatch, eps, iterati
     # the first step's gradient, then one per iteration, which the next step
     # and kkt_check reuse; kkt_check's own when the loop never ran
     assert len(grads) == iterations + 1
+    # the loop's gradients reuse the iteration's residual tensors
+    assert grads == [False] + [True] * iterations
     ((args, kwargs),) = checks
     assert kwargs["res"] is not None
     assert check(*args).to_dict() == diag.kkt.to_dict()

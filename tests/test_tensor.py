@@ -18,6 +18,7 @@ from hsfusion import (
     tv_norm,
     unfold,
 )
+from hsfusion.tensor import difference, difference_adjoint
 
 
 def test_diff_matrix_three():
@@ -166,6 +167,34 @@ def test_mode_product_matches_einsum_and_unfold_fold(shape, mode, rows, fortran,
     scale = 1e-12 * np.linalg.norm(m) * np.linalg.norm(t)
     assert np.linalg.norm(got - einsum) <= scale
     assert np.linalg.norm(got - _unfold_fold_product(t, m, mode)) <= scale
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(1, 4)),
+    mode=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_difference_stencils_equal_dense_products(shape, mode, seed):
+    n = shape[mode - 1]
+    if n < 2:  # mode 3 with R = 1 has no difference operator
+        with pytest.raises(DimensionError):
+            difference(np.zeros(shape), mode)
+        return
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    d = diff_matrix(n)
+    forward = difference(t, mode)
+    assert forward.tobytes() == mode_n_product(t, d, mode).tobytes()
+    v = rng.standard_normal(forward.shape)
+    back = difference_adjoint(v, mode)
+    assert back.shape == t.shape
+    assert back.tobytes() == mode_n_product(v, d.T, mode).tobytes()
+
+
+def test_difference_adjoint_rejects_empty_mode():
+    with pytest.raises(DimensionError):
+        difference_adjoint(np.zeros((3, 0, 2)), 2)
 
 
 def test_mode_product_rejects_mismatch():

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,21 @@ def test_roundtrip_is_bit_exact(tmp_path):
     assert back.shape == (4, 5, 6)
     assert np.array_equal(back, t)
     assert back.tobytes() == t.tobytes()
+
+
+def test_read_allocates_about_the_payload(tmp_path):
+    t = np.random.default_rng(1).standard_normal((48, 48, 120))  # 2.2 MB payload
+    path = tmp_path / "t.cmt"
+    write_tensor(path, t)
+    tracemalloc.start()
+    try:
+        back = read_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, t)
+    # the array itself plus the finiteness check's boolean mask
+    assert peak < 1.25 * t.nbytes
 
 
 def test_roundtrip_matrix(tmp_path):
