@@ -2,11 +2,16 @@
 
 Everything here works slice-wise in the mode-3 Fourier domain. For real input
 only the first floor(I3/2)+1 Fourier slices are computed (rfft along the
-tubes) and factorized, in one batched SVD; the remaining slices are their
+tubes) and factorized, in one batched call; the remaining slices are their
 conjugates, which the inverse rfft supplies, so assembled tensors are exactly
-real and the SVD work is halved. Fourier slices 0 and Nyquist of a real
-tensor have zero imaginary part, and the inverse rfft reads only their real
-part."""
+real and the factorization work is halved. Fourier slices 0 and Nyquist of a
+real tensor have zero imaginary part, and the inverse rfft reads only their
+real part.
+
+The slices the solver factorizes are tall and thin, (I_n - 1) x R. The prox
+and the norms factor them QR-first (Chan, ACM TOMS 1982): a slice C = QR has
+the singular values and right vectors of its small R factor, which keeps the
+SVD's backward stability and never forms Q or the left vectors."""
 
 from dataclasses import dataclass
 
@@ -102,14 +107,33 @@ def _mirror_index(n_tubes):
     return np.minimum(f, n_tubes - f)
 
 
+def _factorization_error(slices, exc):
+    """FactorizationError naming the first non-finite slice of ``slices``."""
+    bad = [f for f, slab in enumerate(slices) if not np.isfinite(slab).all()]
+    where = f"Fourier slice {bad[0]}" if bad else "a Fourier slice"
+    return FactorizationError(f"SVD failed on {where}: {exc}")
+
+
 def _slice_svd(slices, **kwargs):
     """One batched SVD over stacked Fourier slices; errors name the first non-finite one."""
     try:
         return np.linalg.svd(slices, **kwargs)
     except np.linalg.LinAlgError as exc:
-        bad = [f for f, slab in enumerate(slices) if not np.isfinite(slab).all()]
-        where = f"Fourier slice {bad[0]}" if bad else "a Fourier slice"
-        raise FactorizationError(f"SVD failed on {where}: {exc}") from exc
+        raise _factorization_error(slices, exc) from exc
+
+
+def _thin_slice_svd(slices, compute_uv=True):
+    """Singular values, and V^H when ``compute_uv``, of stacked slices with at
+    least as many rows as columns, from one batched SVD of their square QR
+    factors R: C = QR and R = W S V^H give C = (QW) S V^H."""
+    try:
+        r = np.linalg.qr(slices, mode="r")
+        if not compute_uv:
+            return np.linalg.svd(r, compute_uv=False)
+        _, s, vh = np.linalg.svd(r)
+        return s, vh
+    except np.linalg.LinAlgError as exc:
+        raise _factorization_error(slices, exc) from exc
 
 
 def t_svd(t):
@@ -134,7 +158,9 @@ def t_svd(t):
 
 def _fourier_singular_values(t):
     """Singular values of every Fourier slice, shape (I3, min(I1, I2))."""
-    s = _slice_svd(_fourier_slices(t), compute_uv=False)
+    if t.shape[0] < t.shape[1]:
+        t = t.swapaxes(0, 1)  # a real tensor's Fourier slices transpose with it
+    s = _thin_slice_svd(_fourier_slices(t), compute_uv=False)
     return s[_mirror_index(t.shape[2])]
 
 
@@ -198,13 +224,20 @@ def scalar_prox(s, rho, psi):
 def ntpnn_prox(c, rho, psi):
     """Minimizer of ntpnn(g, psi) + rho*|g - c|_F^2 over real tensors g.
 
-    Computes the t-SVD of c slice-wise, shrinks each Fourier-domain singular
-    value with the scalar prox, and reassembles. Any mode shuffling is the
-    caller's responsibility.
+    Shrinks each Fourier-domain singular value with the scalar prox. With
+    C = U S V^H a slice, its prox U S' V^H is C V diag(s'/s) V^H, exactly,
+    since s' <= s and s' = 0 where s = 0; so only s and V are computed. Any
+    mode shuffling is the caller's responsibility.
     """
     c = np.asarray(c, dtype=float)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    u, s, vh = _slice_svd(_fourier_slices(c), full_matrices=False)
+    if c.shape[0] < c.shape[1]:
+        # a real tensor's Fourier slices transpose with it
+        return ntpnn_prox(c.swapaxes(0, 1), rho, psi).swapaxes(0, 1)
+    slices = _fourier_slices(c)
+    s, vh = _thin_slice_svd(slices)
     shrunk = prox_singular_values(s, rho, psi)
-    return _from_fourier_slices((u * shrunk[:, None, :]) @ vh, c.shape[2])
+    ratio = np.divide(shrunk, s, out=np.zeros_like(s), where=s > 0)
+    gain = (vh.conj().swapaxes(1, 2) * ratio[:, None, :]) @ vh
+    return _from_fourier_slices(slices @ gain, c.shape[2])

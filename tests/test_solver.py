@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsfusion import (
+    DimensionError,
     DivergenceError,
     LogSurrogate,
     SceneSpec,
@@ -30,6 +31,7 @@ from hsfusion import (
     t_product,
 )
 from hsfusion import solver as solver_module
+from hsfusion import tsvd as tsvd_module
 from hsfusion.solver import (
     FusionProblem,
     _residual_tensors,
@@ -168,15 +170,21 @@ def test_lipschitz_tau_unit_operators_paper_mode():
 
 
 def test_lipschitz_tau_safe_mode_analytic_difference_norm():
-    n = 64
     rng = np.random.default_rng(4)
-    p1 = np.zeros((8, n))
-    p2 = np.zeros((8, n))
     p3 = np.zeros((2, 5))
     s = _semi_unitary(rng, 5, 2)
-    tau = lipschitz_tau(p1, p2, p3, s, "safe")
-    d_sq = 2.0 - 2.0 * np.cos(np.pi * (n - 1) / n)  # analytic |D_n|^2
-    assert tau == pytest.approx(2.0 * (0.0 + 0.0 + 2 * d_sq), rel=1e-12)
+    for n in (2, 3, 64, 255, 256):
+        p1 = np.zeros((8, n))
+        p2 = np.zeros((8, n))
+        tau = lipschitz_tau(p1, p2, p3, s, "safe")
+        d_sq = operator_norm(diff_matrix(n)) ** 2
+        assert tau == pytest.approx(2.0 * (0.0 + 0.0 + 2 * d_sq), rel=1e-14)
+
+
+def test_lipschitz_tau_safe_mode_needs_two_pixels():
+    s = np.eye(2)
+    with pytest.raises(DimensionError, match="n >= 2, got 1"):
+        lipschitz_tau(np.ones((1, 1)), np.eye(4), np.eye(2), s, "safe")
 
 
 def test_lipschitz_tau_zero_p3_contributes_nothing():
@@ -560,6 +568,56 @@ def test_solve_raises_divergence_error_on_overflow():
     cfg = SolverConfig(r=2, rho0=1e307, eps=1e-30, max_iter=50)
     with pytest.raises(DivergenceError, match="iteration"):
         solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["m1", "m2"])
+def test_solve_raises_divergence_error_on_gradient_multiplier_overflow(monkeypatch, name):
+    # the overflow stays in one gradient multiplier; the solve must stop at
+    # the iteration that made it, with a typed error and no warning
+    update = solver_module.update_multipliers
+
+    def overflowing_update(*args, **kwargs):
+        state = update(*args, **kwargs)
+        if state.iter < 3:
+            return state
+        m = getattr(state, name).copy()
+        m[0, 0, 0] = np.finfo(float).max * 2.0
+        return replace(state, **{name: m})
+
+    monkeypatch.setattr(solver_module, "update_multipliers", overflowing_update)
+    rng = np.random.default_rng(22)
+    prob = _random_problem(rng, big=(8, 8, 6), small=(4, 4, 3), r=2)
+    cfg = SolverConfig(r=2, eps=1e-30, max_iter=50)
+    with pytest.raises(DivergenceError, match="at iteration 3$"):
+        solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3, cfg)
+
+
+@pytest.mark.parametrize("max_iter", [1, 6])
+def test_solve_forms_no_left_singular_vectors_in_its_loop(monkeypatch, max_iter):
+    # the loop's proxes and objective trace factor each thin slice stack
+    # through its square R factors; only kkt_check's two subgradient checks
+    # take an SVD of the slices themselves
+    slice_svds, thin_svds = [], []
+    slice_svd, svd = tsvd_module._slice_svd, np.linalg.svd
+
+    def counting_slice_svd(*args, **kwargs):
+        slice_svds.append(args[0].shape)
+        return slice_svd(*args, **kwargs)
+
+    def recording_svd(a, *args, **kwargs):
+        if a.ndim == 3 and a.shape[1] != a.shape[2]:
+            thin_svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(tsvd_module, "_slice_svd", counting_slice_svd)
+    monkeypatch.setattr(solver_module, "_slice_svd", counting_slice_svd)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    _, deg, x, y = _small_instance()
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=max_iter))
+    assert diag.iterations == max_iter
+    assert len(slice_svds) == 2
+    assert thin_svds == slice_svds
 
 
 def _misaligned_readonly(a):

@@ -4,24 +4,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsfusion import (
+    IKONOS_BANDS,
     DimensionError,
     FactorizationError,
     LogSurrogate,
+    SceneSpec,
+    SolverConfig,
     fft_mode3,
     identity_tensor,
     ifft_mode3,
+    make_degradation,
     mode_ntpnn,
     mode_shuffle,
     ntpnn,
     ntpnn_prox,
     real_part,
     scalar_prox,
+    simulate,
+    solve,
+    synth_scene,
     t_product,
     t_svd,
     t_transpose,
     tnn,
 )
-from hsfusion.tsvd import _fourier_singular_values, prox_singular_values
+from hsfusion import solver as solver_module
+from hsfusion.tsvd import (
+    _fourier_singular_values,
+    _fourier_slices,
+    _from_fourier_slices,
+    _thin_slice_svd,
+    prox_singular_values,
+)
 
 PSI = LogSurrogate(0.1)
 
@@ -323,14 +337,32 @@ def _singular_values_slice_loop(t):
     return np.array([np.linalg.svd(th[:, :, f], compute_uv=False) for f in range(t.shape[2])])
 
 
+def _test_tensor(kind, shape, rng):
+    """A random tensor; "rank-deficient" has Fourier slices of rank about half
+    the smaller side, "graded" has slice spectra spread over 1 ... 1e-12."""
+    if kind == "random":
+        return rng.standard_normal(shape)
+    i1, i2, i3 = shape
+    k = min(i1, i2)
+    if kind == "rank-deficient":
+        k = (k + 1) // 2
+    middle = identity_tensor(k, i3)
+    if kind == "graded":
+        middle[:, :, 0] = np.diag(np.logspace(0, -12, k))
+    left = t_product(rng.standard_normal((i1, k, i3)), middle)
+    return t_product(left, rng.standard_normal((k, i2, i3)))
+
+
 _SIDES = st.sampled_from([1, 2, 3, 5])
 _TUBES = st.sampled_from([1, 2, 3, 4, 7, 10])  # 1-4, a larger odd and even length
+_KINDS = st.sampled_from(["random", "rank-deficient", "graded"])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(i1=_SIDES, i2=_SIDES, i3=_TUBES, log_rho=st.integers(-2, 2), seed=st.integers(0, 2**32 - 1))
-def test_batched_kernel_matches_slice_loops(i1, i2, i3, log_rho, seed):
-    c = np.random.default_rng(seed).standard_normal((i1, i2, i3))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=_KINDS, i1=_SIDES, i2=_SIDES, i3=_TUBES, log_rho=st.integers(-2, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_kernel_matches_slice_loops(kind, i1, i2, i3, log_rho, seed):
+    c = _test_tensor(kind, (i1, i2, i3), np.random.default_rng(seed))
     rho = 10.0**log_rho
     tol = 1e-12 * np.linalg.norm(c)
     assert np.linalg.norm(ntpnn_prox(c, rho, PSI) - _prox_slice_loop(c, rho, PSI)) <= tol
@@ -348,3 +380,51 @@ def test_tsvd_reconstructs_odd_and_even_tubes(i1, i2, i3, seed):
     assert np.linalg.norm(_reconstruct(fac) - t) <= 1e-12 * np.linalg.norm(t)
     eye_u = identity_tensor(i1, i3)
     assert np.linalg.norm(t_product(fac.u, t_transpose(fac.u)) - eye_u) <= 1e-12 * i1
+
+
+def _svd_prox(c, rho, psi):
+    """ntpnn_prox through the thin SVD of each stored Fourier slice, U formed."""
+    u, s, vh = np.linalg.svd(_fourier_slices(c), full_matrices=False)
+    shrunk = prox_singular_values(s, rho, psi)
+    return _from_fourier_slices((u * shrunk[:, None, :]) @ vh, c.shape[2])
+
+
+def test_prox_matches_svd_prox_on_late_iterations(monkeypatch):
+    # prox inputs of the 64x64x32 acceptance solve from iteration 400 on,
+    # where rho has grown past 2.9e5 and small singular values survive the prox
+    calls, inputs = [], []
+    prox = solver_module.ntpnn_prox
+
+    def recording_prox(c, rho, psi):
+        calls.append(rho)
+        if len(calls) > 2 * 400:  # two proxes per iteration
+            inputs.append((c.copy(), rho))
+        return prox(c, rho, psi)
+
+    monkeypatch.setattr(solver_module, "ntpnn_prox", recording_prox)
+    z, _, _ = synth_scene(SceneSpec(shape=(64, 64, 32), r=3, blocks=4, seed=14))
+    deg = make_degradation(z.shape, 4, 9, 3.3973, IKONOS_BANDS)
+    x, y = simulate(z, deg)
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=3))
+    assert len(inputs) == 2 * (diag.iterations - 400) > 0
+    assert inputs[0][1] > 2.9e5
+    for c, rho in inputs:
+        want = _svd_prox(c, rho, PSI)
+        assert np.linalg.norm(ntpnn_prox(c, rho, PSI) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 6), (3, 5, 6)])  # tall and wide slices
+def test_non_finite_input_names_fourier_slice(shape):
+    bad = np.random.default_rng(15).standard_normal(shape)
+    bad[1, 2, 3] = np.nan  # a tube's NaN reaches every one of its Fourier slices
+    with pytest.raises(FactorizationError, match="Fourier slice 0"):
+        ntpnn_prox(bad, 1.0, PSI)
+    with pytest.raises(FactorizationError, match="Fourier slice 0"):
+        tnn(bad)
+
+
+def test_thin_kernel_names_the_input_slice():
+    slices = np.random.default_rng(16).standard_normal((4, 6, 3)).astype(complex)
+    slices[2, 5, 0] = np.inf
+    with pytest.raises(FactorizationError, match="Fourier slice 2"):
+        _thin_slice_svd(slices)
