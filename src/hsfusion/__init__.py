@@ -28,7 +28,6 @@ from .errors import (
     FactorizationError,
     FusionError,
     MetricUndefinedError,
-    NumericalConsistencyError,
     TensorFileError,
 )
 from .metrics import MetricReport, bicubic_upsample, ergas, evaluate, psnr, sam, ssim
@@ -63,13 +62,10 @@ from .solver import (
 from .tensor import (
     atv_norm,
     diff_matrix,
-    fft_mode3,
     fold,
-    ifft_mode3,
     mode_n_product,
     mode_shuffle,
     mode_unshuffle,
-    real_part,
     tv_norm,
     unfold,
 )

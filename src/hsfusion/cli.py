@@ -5,7 +5,7 @@ import json
 import os
 import sys
 
-from .config import build_run_config, load_config_file, read_band_table
+from .config import KEYS, build_run_config, load_config_file, read_band_table
 from .degradation import (
     IKONOS_BANDS,
     SceneSpec,
@@ -18,33 +18,18 @@ from .metrics import evaluate
 from .solver import solve
 from .tensorfile import load_cube, read_tensor, write_tensor
 
-_CONFIG_FLAGS = (
-    ("r", int),
-    ("gamma", float),
-    ("rho0", float),
-    ("nu", float),
-    ("eps", float),
-    ("max_iter", int),
-    ("tau_mode", str),
-    ("factor", int),
-    ("kernel_size", int),
-    ("sigma", float),
-    ("band_table", str),
-    ("seed", int),
-    ("peak", float),
-)
-
 
 def _add_config_flags(parser):
-    for name, typ in _CONFIG_FLAGS:
+    group = parser.add_argument_group("run configuration")
+    for name, typ in KEYS.items():
         flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, type=typ, default=None)
-    parser.add_argument("--config", default=None, help="key=value defaults file")
+        group.add_argument(flag, dest=name, type=typ, default=None)
+    group.add_argument("--config", default=None, help="key=value defaults file")
 
 
 def _config_from_args(args):
     file_values = load_config_file(args.config) if args.config else {}
-    overrides = {name: getattr(args, name) for name, _ in _CONFIG_FLAGS}
+    overrides = {name: getattr(args, name) for name in KEYS}
     return build_run_config(file_values, overrides)
 
 
@@ -106,7 +91,7 @@ def _cmd_fuse(args):
     p1 = read_tensor(args.p1)
     p2 = read_tensor(args.p2)
     p3 = read_tensor(args.p3)
-    z_hat, diag = solve(x, y, p1, p2, p3, cfg.solver_config(args.eps_mode))
+    z_hat, diag = solve(x, y, p1, p2, p3, cfg.solver_config())
     write_tensor(args.out, z_hat)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -175,7 +160,9 @@ def _cmd_diagnose(args):
             )
         )
     else:
-        print("KKT: FAIL (see report for the failing check)")
+        checks = ("feasibility_ok", "stationarity_ok", "subgradient_ok", "multipliers_bounded")
+        failed = [key.removesuffix("_ok") for key in checks if not kkt.get(key)]
+        print(f"KKT: FAIL ({', '.join(failed)})")
     if args.csv:
         rows = zip(
             range(1, iters + 1),
@@ -221,9 +208,6 @@ def _build_parser():
     p_fuse.add_argument("--p3", required=True)
     p_fuse.add_argument("--out", default="z_hat.cmt")
     p_fuse.add_argument("--report", default=None)
-    p_fuse.add_argument("--eps-mode", choices=("absolute", "relative"),
-                        default="absolute",
-                        help="compare eps to raw residuals or residuals/|X|_F")
     _add_config_flags(p_fuse)
     p_fuse.set_defaults(func=_cmd_fuse)
 

@@ -2,53 +2,50 @@
 
 Unknown keys are rejected; every value is range-checked against the solver
 and degradation invariants. Command-line flags override file values, which
-override the defaults below.
+override the defaults of ``RunConfig`` (for the solver keys, those of
+``SolverConfig``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .degradation import NAMED_BAND_TABLES
-from .solver import TAU_MODES, SolverConfig
+from .solver import SolverConfig
 
-
-def _parse_int(text):
-    return int(text)
-
-
-def _parse_float(text):
-    return float(text)
-
-
-def _parse_str(text):
-    return text
-
-
-_KEY_PARSERS = {
-    "r": _parse_int,
-    "gamma": _parse_float,
-    "rho0": _parse_float,
-    "nu": _parse_float,
-    "eps": _parse_float,
-    "max_iter": _parse_int,
-    "tau_mode": _parse_str,
-    "factor": _parse_int,
-    "kernel_size": _parse_int,
-    "sigma": _parse_float,
-    "band_table": _parse_str,
-    "seed": _parse_int,
-    "peak": _parse_float,
+# Every run key and the type its text parses to; the config file parser and
+# the CLI flags are both built from this table.
+KEYS = {
+    "r": int,
+    "gamma": float,
+    "rho0": float,
+    "nu": float,
+    "eps": float,
+    "max_iter": int,
+    "tau_mode": str,
+    "eps_mode": str,
+    "factor": int,
+    "kernel_size": int,
+    "sigma": float,
+    "band_table": str,
+    "seed": int,
+    "peak": float,
 }
+
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "r")
+_SOLVER_DEFAULTS = SolverConfig(r=1)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Run keys; the solver keys' defaults and checks are SolverConfig's."""
+
     r: int | None = None
-    gamma: float = 0.1
-    rho0: float = 1e-3
-    nu: float = 1.05
-    eps: float = 1e-5
-    max_iter: int = 500
-    tau_mode: str = "safe"
+    gamma: float = _SOLVER_DEFAULTS.gamma
+    rho0: float = _SOLVER_DEFAULTS.rho0
+    nu: float = _SOLVER_DEFAULTS.nu
+    eps: float = _SOLVER_DEFAULTS.eps
+    max_iter: int = _SOLVER_DEFAULTS.max_iter
+    tau_mode: str = _SOLVER_DEFAULTS.tau_mode
+    eps_mode: str = _SOLVER_DEFAULTS.eps_mode
     factor: int = 8
     kernel_size: int = 9
     sigma: float = 3.3973
@@ -57,20 +54,8 @@ class RunConfig:
     peak: float | None = None
 
     def __post_init__(self):
-        if self.r is not None and self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.rho0 > 0:
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if not self.nu > 1:
-            raise ValueError(f"nu must exceed 1, got {self.nu}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tau_mode not in TAU_MODES:
-            raise ValueError(f"tau_mode must be one of {TAU_MODES}, got {self.tau_mode!r}")
+        # built only for its checks, so a bad solver key fails before any input is read
+        self._solver_config(1 if self.r is None else self.r)
         if self.factor < 1:
             raise ValueError(f"factor must be >= 1, got {self.factor}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -88,17 +73,11 @@ class RunConfig:
                              "--r or a config file")
         return self.r
 
-    def solver_config(self, eps_mode="absolute"):
-        return SolverConfig(
-            r=self.require_r(),
-            gamma=self.gamma,
-            rho0=self.rho0,
-            nu=self.nu,
-            eps=self.eps,
-            max_iter=self.max_iter,
-            tau_mode=self.tau_mode,
-            eps_mode=eps_mode,
-        )
+    def solver_config(self):
+        return self._solver_config(self.require_r())
+
+    def _solver_config(self, r):
+        return SolverConfig(r=r, **{key: getattr(self, key) for key in _SOLVER_KEYS})
 
 
 def parse_config_text(text, source="<config>"):
@@ -113,10 +92,10 @@ def parse_config_text(text, source="<config>"):
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KEY_PARSERS:
+        if key not in KEYS:
             raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _KEY_PARSERS[key](val)
+            values[key] = KEYS[key](val)
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
@@ -132,7 +111,7 @@ def build_run_config(file_values=None, overrides=None):
     merged = {}
     for source in (file_values or {}, overrides or {}):
         for key, val in source.items():
-            if key not in _KEY_PARSERS:
+            if key not in KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             if val is not None:
                 merged[key] = val

@@ -13,10 +13,6 @@ class FactorizationError(FusionError):
     """A per-slice matrix factorization failed; message names the slice."""
 
 
-class NumericalConsistencyError(FusionError):
-    """A computed result violated an internal numerical sanity bound."""
-
-
 class DivergenceError(FusionError):
     """Solver iterates became non-finite; message names the iteration."""
 

@@ -1,20 +1,17 @@
-"""Dense 3-way tensor primitives: mode-n algebra, mode shuffles, tube FFTs, TV norms.
+"""Dense 3-way tensor primitives: mode-n algebra, mode shuffles, TV norms.
 
 Tensors are plain float64 numpy arrays of shape (I1, I2, I3) in C (row-major)
 order; matrices are 2-d float64 arrays. All functions are pure and never
 modify their inputs.
 
-Conventions fixed here and relied on everywhere else:
-
-* ``unfold(t, n)`` puts mode n on the rows; columns enumerate the remaining
-  modes with the lower-numbered mode varying fastest.
-* ``fft_mode3`` is the unnormalized forward DFT along the tube fibers;
-  ``ifft_mode3`` carries the 1/I3 factor.
+Convention fixed here and relied on everywhere else: ``unfold(t, n)`` puts
+mode n on the rows; columns enumerate the remaining modes with the
+lower-numbered mode varying fastest.
 """
 
 import numpy as np
 
-from .errors import DimensionError, NumericalConsistencyError
+from .errors import DimensionError
 
 _SHUFFLE_AXES = {1: (1, 2, 0), 2: (0, 2, 1)}
 
@@ -124,36 +121,6 @@ def mode_unshuffle(t, n):
         raise ValueError(f"shuffle mode must be 1 or 2, got {n}")
     inv = np.argsort(_SHUFFLE_AXES[n])
     return np.ascontiguousarray(np.transpose(np.asarray(t), inv))
-
-
-def fft_mode3(t):
-    """Unnormalized forward DFT along the mode-3 tube fibers."""
-    return np.fft.fft(np.asarray(t), axis=2)
-
-
-def ifft_mode3(c):
-    """Inverse DFT along mode 3 (carries the 1/I3 normalization)."""
-    return np.fft.ifft(np.asarray(c), axis=2)
-
-
-def real_part(c, rel_tol=1e-8):
-    """Drop the imaginary part of c, guarding against real data gone complex.
-
-    Raises NumericalConsistencyError when the imaginary Frobenius norm exceeds
-    ``rel_tol`` times the real one.
-    """
-    c = np.asarray(c)
-    if not np.iscomplexobj(c):
-        return np.asarray(c, dtype=float)
-    re = np.ascontiguousarray(c.real)
-    imag_norm = np.linalg.norm(c.imag)
-    real_norm = np.linalg.norm(re)
-    if imag_norm > rel_tol * max(real_norm, np.finfo(float).tiny):
-        raise NumericalConsistencyError(
-            f"imaginary residue too large: |imag|={imag_norm:.3e} vs "
-            f"|real|={real_norm:.3e} (rel_tol={rel_tol:g})"
-        )
-    return re
 
 
 def tv_norm(t):

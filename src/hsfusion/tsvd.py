@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FactorizationError
-from .tensor import fft_mode3, ifft_mode3, mode_shuffle, real_part
+from .tensor import mode_shuffle
 
 
 @dataclass(frozen=True)
@@ -71,20 +71,20 @@ def t_transpose(a):
 
 
 def t_product(a, b):
-    """t-product of (I1,K,I3) and (K,I2,I3): slice-wise products in Fourier domain."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    """t-product of real (I1,K,I3) and (K,I2,I3): slice-wise products in Fourier domain.
+
+    Complex input is cast to float like everywhere else in this module, which
+    emits numpy's ComplexWarning rather than dropping the imaginary part silently.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.ndim != 3 or b.ndim != 3:
         raise ValueError("t_product expects two 3-way tensors")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner dimensions disagree: {a.shape} vs {b.shape}")
     if a.shape[2] != b.shape[2]:
         raise DimensionError(f"tube lengths disagree: {a.shape[2]} vs {b.shape[2]}")
-    ch = np.einsum("ikf,kjf->ijf", fft_mode3(a), fft_mode3(b))
-    c = ifft_mode3(ch)
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return c
-    return real_part(c)
+    return _from_fourier_slices(_fourier_slices(a) @ _fourier_slices(b), a.shape[2])
 
 
 def _fourier_slices(t):

@@ -1,11 +1,13 @@
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hsfusion import read_tensor, write_tensor
-from hsfusion.cli import main
-from hsfusion.config import build_run_config, parse_config_text, read_band_table
+from hsfusion import SolverConfig, read_tensor, write_tensor
+from hsfusion.cli import _build_parser, main
+from hsfusion.config import KEYS, RunConfig, build_run_config, parse_config_text, read_band_table
 from hsfusion.degradation import IKONOS_BANDS, LANDSAT7_BANDS
 
 
@@ -53,6 +55,28 @@ def test_config_flags_override_file():
 def test_config_requires_r_for_solver():
     with pytest.raises(ValueError, match="required"):
         build_run_config().solver_config()
+
+
+def _config_flag_names(command):
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    group = next(g for g in sub.choices[command]._action_groups
+                 if g.title == "run configuration")
+    return {a.dest for a in group._group_actions} - {"config"}
+
+
+def test_config_keys_fields_and_flags_are_one_schema():
+    names = set(KEYS)
+    assert {f.name for f in fields(RunConfig)} == names
+    for command in ("simulate", "fuse", "eval"):
+        assert _config_flag_names(command) == names
+
+
+def test_run_config_solver_defaults_are_solver_configs():
+    run, solver = RunConfig(), SolverConfig(r=1)
+    for f in fields(SolverConfig):
+        if f.name != "r":
+            assert getattr(run, f.name) == getattr(solver, f.name)
 
 
 def test_band_table_names_and_files(tmp_path):
@@ -215,6 +239,34 @@ def test_fuse_tau_mode_recorded(pipeline_dir, tmp_path, capsys):
     assert json.loads(report_path.read_text())["tau_mode"] == "paper"
 
 
+def test_fuse_eps_mode_from_config_file(pipeline_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r=2\nmax_iter=5\neps_mode=relative\n")
+    report_path = tmp_path / "rep.json"
+    code, _, _ = _run(
+        capsys, "fuse",
+        "--x", str(pipeline_dir / "x.cmt"), "--y", str(pipeline_dir / "y.cmt"),
+        "--p1", str(pipeline_dir / "p1.cmt"), "--p2", str(pipeline_dir / "p2.cmt"),
+        "--p3", str(pipeline_dir / "p3.cmt"),
+        "--config", str(cfg),
+        "--out", str(tmp_path / "z.cmt"), "--report", str(report_path),
+    )
+    assert code == 0
+    assert json.loads(report_path.read_text())["eps_mode"] == "relative"
+
+
+def test_fuse_bad_eps_mode_fails_before_reading_inputs(tmp_path, capsys):
+    missing = [str(tmp_path / f"{name}.cmt") for name in ("x", "y", "p1", "p2", "p3")]
+    code, _, err = _run(
+        capsys, "fuse",
+        "--x", missing[0], "--y", missing[1],
+        "--p1", missing[2], "--p2", missing[3], "--p3", missing[4],
+        "--r", "2", "--eps-mode", "scaled",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "eps_mode" in err
+
+
 def test_eval_self_comparison(pipeline_dir, capsys):
     code, out, _ = _run(
         capsys, "eval",
@@ -313,6 +365,33 @@ def test_diagnose_not_converged_line(tmp_path, capsys):
     code, out, _ = _run(capsys, "diagnose", "--report", str(path))
     assert code == 0
     assert "KKT: NOT CONVERGED (max_iter)" in out
+
+
+def test_diagnose_names_failed_kkt_checks(tmp_path, capsys):
+    report = {
+        "converged": True,
+        "iterations": 1,
+        "tau": 8.0,
+        "tau_mode": "safe",
+        "res_x": [1e-6],
+        "res_y": [1e-6],
+        "res_g1": [0.0],
+        "res_g2": [0.0],
+        "rho": [1.0],
+        "objective": [0.0],
+        "kkt": {
+            "feasibility_ok": False,
+            "stationarity_ok": True,
+            "subgradient_ok": False,
+            "multipliers_bounded": True,
+            "passed": False,
+        },
+    }
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = _run(capsys, "diagnose", "--report", str(path))
+    assert code == 0
+    assert "KKT: FAIL (feasibility, subgradient)\n" in out
 
 
 def test_diagnose_malformed_report(tmp_path, capsys):

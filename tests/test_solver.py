@@ -14,7 +14,6 @@ from hsfusion import (
     bicubic_upsample,
     diff_matrix,
     extract_subspace,
-    fft_mode3,
     gradient_tensor,
     kkt_check,
     lipschitz_tau,
@@ -673,8 +672,8 @@ def test_solve_rejects_non_finite_inputs():
 
 def _subgradient_deviation_slice_loop(g, m, psi, n, rel_rank_tol=1e-8):
     """_subgradient_deviation as a loop over all I3 slices of the full FFT."""
-    gh = fft_mode3(mode_shuffle(g, n))
-    mh = fft_mode3(mode_shuffle(m, n))
+    gh = np.fft.fft(mode_shuffle(g, n), axis=2)
+    mh = np.fft.fft(mode_shuffle(m, n), axis=2)
     svds = [np.linalg.svd(gh[:, :, f], full_matrices=False) for f in range(gh.shape[2])]
     sv_max = max(float(s[0]) for _, s, _ in svds)
     dev, retained = 0.0, 0

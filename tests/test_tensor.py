@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 
 from hsfusion import (
     DimensionError,
-    NumericalConsistencyError,
     atv_norm,
     diff_matrix,
-    fft_mode3,
     fold,
-    ifft_mode3,
     mode_n_product,
     mode_shuffle,
     mode_unshuffle,
-    real_part,
     tv_norm,
     unfold,
 )
@@ -236,44 +232,6 @@ def test_mode_shuffle_rejects_bad_mode():
         mode_shuffle(np.zeros((2, 2, 2)), 3)
 
 
-def test_fft_constant_tube():
-    t = np.ones((2, 3, 4)) * 2.5
-    f = fft_mode3(t)
-    assert np.allclose(f[:, :, 0], 4 * 2.5)
-    assert np.allclose(f[:, :, 1:], 0.0)
-
-
-def test_fft_roundtrip():
-    rng = np.random.default_rng(6)
-    t = rng.standard_normal((3, 4, 5))
-    back = real_part(ifft_mode3(fft_mode3(t)), rel_tol=1e-12)
-    assert np.allclose(back, t, rtol=1e-12, atol=1e-14)
-
-
-def _naive_dft_mode3(t):
-    i3 = t.shape[2]
-    w = np.exp(-2j * np.pi * np.outer(np.arange(i3), np.arange(i3)) / i3)
-    out = np.zeros(t.shape, dtype=complex)
-    for f in range(i3):
-        for k in range(i3):
-            out[:, :, f] += t[:, :, k] * w[f, k]
-    return out
-
-
-def test_fft_matches_naive_dft():
-    rng = np.random.default_rng(7)
-    t = rng.standard_normal((3, 3, 4))
-    assert np.allclose(fft_mode3(t), _naive_dft_mode3(t), rtol=1e-10, atol=1e-10)
-
-
-def test_fft_parseval():
-    rng = np.random.default_rng(8)
-    t = rng.standard_normal((4, 5, 6))
-    lhs = np.linalg.norm(t) ** 2
-    rhs = np.linalg.norm(fft_mode3(t)) ** 2 / t.shape[2]
-    assert abs(lhs - rhs) <= 1e-10 * lhs
-
-
 def test_tv_atv_constant_tensor():
     t = np.full((4, 4, 3), 1.7)
     assert tv_norm(t) == 0.0
@@ -320,14 +278,3 @@ def test_tv_rejects_small_spatial_dims():
     with pytest.raises(DimensionError):
         atv_norm(np.zeros((5, 1, 3)))
 
-
-def test_real_part_rejects_large_imaginary():
-    c = np.ones((2, 2, 2)) + 1e-3j * np.ones((2, 2, 2))
-    with pytest.raises(NumericalConsistencyError):
-        real_part(c)
-
-
-def test_real_part_accepts_tiny_imaginary():
-    c = np.ones((2, 2, 2)) + 1e-12j * np.ones((2, 2, 2))
-    out = real_part(c)
-    assert np.array_equal(out, np.ones((2, 2, 2)))

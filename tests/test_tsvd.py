@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsfusion import (
@@ -10,15 +10,12 @@ from hsfusion import (
     LogSurrogate,
     SceneSpec,
     SolverConfig,
-    fft_mode3,
     identity_tensor,
-    ifft_mode3,
     make_degradation,
     mode_ntpnn,
     mode_shuffle,
     ntpnn,
     ntpnn_prox,
-    real_part,
     scalar_prox,
     simulate,
     solve,
@@ -68,11 +65,32 @@ def test_tproduct_identity():
     assert np.allclose(t_product(a, identity_tensor(4, 5)), a, atol=1e-12)
 
 
-def test_tproduct_matches_block_circulant_oracle():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((3, 2, 2))
-    b = rng.standard_normal((2, 4, 2))
-    assert np.allclose(t_product(a, b), _tprod_oracle(a, b), atol=1e-10)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(i1=st.integers(1, 6), k=st.integers(1, 6), i2=st.integers(1, 6), i3=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(i1=1, k=1, i2=1, i3=1, seed=0)
+@example(i1=6, k=1, i2=6, i3=8, seed=1)
+def test_tproduct_matches_block_circulant_oracle(i1, k, i2, i3, seed):
+    """Equal to the block-circulant product and to the full-FFT path it
+    replaced (slice products over all I3 Fourier slices), to 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((i1, k, i3))
+    b = rng.standard_normal((k, i2, i3))
+    got = t_product(a, b)
+    oracle = _tprod_oracle(a, b)
+    full = np.fft.ifft(np.einsum("ikf,kjf->ijf", np.fft.fft(a, axis=2), np.fft.fft(b, axis=2)),
+                       axis=2)
+    assert np.linalg.norm(full.imag) <= 1e-12 * np.linalg.norm(oracle)
+    for ref in (oracle, full.real):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_tproduct_warns_on_complex_input():
+    """Complex input is not silently truncated: the cast to float emits
+    numpy's ComplexWarning, which warnings-as-errors turns into a failure."""
+    a = np.ones((2, 2, 3)) + 1j
+    with pytest.warns(np.exceptions.ComplexWarning):
+        t_product(a, np.ones((2, 2, 3)))
 
 
 def test_tproduct_zeros():
@@ -111,7 +129,7 @@ def test_tsvd_reconstruction_and_orthogonality():
 def test_tsvd_f_diagonal_ordering():
     rng = np.random.default_rng(4)
     fac = t_svd(rng.standard_normal((5, 4, 4)))
-    sh = fft_mode3(fac.s)
+    sh = np.fft.fft(fac.s, axis=2)
     for f in range(4):
         slab = sh[:, :, f].copy()
         diag = np.real(np.diagonal(slab)).copy()
@@ -127,7 +145,7 @@ def test_tsvd_constant_tube_reduces_to_matrix_svd():
     m = rng.standard_normal((4, 3))
     i3 = 5
     t = np.repeat(m[:, :, None], i3, axis=2)
-    sh = fft_mode3(t_svd(t).s)
+    sh = np.fft.fft(t_svd(t).s, axis=2)
     sig_matrix = np.linalg.svd(m, compute_uv=False)
     sig_zero = np.real(np.diagonal(sh[:, :, 0]))[: len(sig_matrix)]
     assert np.allclose(sig_zero, i3 * sig_matrix, rtol=1e-10)
@@ -142,7 +160,7 @@ def test_tsvd_failure_names_slice():
 
 def _slice_nuclear_oracle(t):
     """Per-slice nuclear norms via eigenvalues of the Gram matrix."""
-    th = fft_mode3(t)
+    th = np.fft.fft(t, axis=2)
     total = 0.0
     for f in range(t.shape[2]):
         slab = th[:, :, f]
@@ -196,7 +214,7 @@ def test_surrogate_rejects_bad_gamma():
 
 
 def _ntpnn_oracle(t, psi):
-    th = fft_mode3(t)
+    th = np.fft.fft(t, axis=2)
     total = 0.0
     for f in range(t.shape[2]):
         sig = np.linalg.svd(th[:, :, f], compute_uv=False)
@@ -317,7 +335,7 @@ def test_ntpnn_prox_local_optimality():
 def _prox_slice_loop(c, rho, psi):
     """ntpnn_prox as a loop over the full FFT spectrum: one SVD per slice pair,
     real SVDs for slices 0 and Nyquist, conjugate mirroring for the rest."""
-    ch = fft_mode3(c)
+    ch = np.fft.fft(c, axis=2)
     out = np.zeros_like(ch)
     n = c.shape[2]
     for f in range(n // 2 + 1):
@@ -329,11 +347,13 @@ def _prox_slice_loop(c, rho, psi):
         out[:, :, f] = (u * prox_singular_values(s, rho, psi)) @ vt
         if m != f:
             out[:, :, m] = out[:, :, f].conj()
-    return real_part(ifft_mode3(out))
+    back = np.fft.ifft(out, axis=2)
+    assert np.linalg.norm(back.imag) <= 1e-8 * max(np.linalg.norm(back.real), np.finfo(float).tiny)
+    return back.real
 
 
 def _singular_values_slice_loop(t):
-    th = fft_mode3(t)
+    th = np.fft.fft(t, axis=2)
     return np.array([np.linalg.svd(th[:, :, f], compute_uv=False) for f in range(t.shape[2])])
 
 
