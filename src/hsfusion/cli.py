@@ -1,4 +1,9 @@
-"""Command-line pipeline: simulate -> fuse -> eval -> diagnose."""
+"""Command-line pipeline: simulate -> fuse -> eval -> diagnose.
+
+Each command imports the modules it uses when it runs, so a process loads
+only what its command needs: ``diagnose`` never loads numpy, ``simulate`` and
+``eval`` skip the solver, and ``fuse`` skips the metrics.
+"""
 
 import argparse
 import json
@@ -6,17 +11,7 @@ import os
 import sys
 
 from .config import KEYS, build_run_config, load_config_file, read_band_table
-from .degradation import (
-    IKONOS_BANDS,
-    SceneSpec,
-    make_degradation,
-    simulate,
-    synth_scene,
-)
 from .errors import FusionError
-from .metrics import evaluate
-from .solver import solve
-from .tensorfile import load_cube, read_tensor, write_tensor
 
 
 def _add_config_flags(parser):
@@ -43,13 +38,10 @@ def _parse_shape(text):
     return shape
 
 
-def _resolve_bands(cfg):
-    if cfg.band_table is None:
-        return IKONOS_BANDS
-    return read_band_table(cfg.band_table)
-
-
 def _cmd_simulate(args):
+    from .degradation import IKONOS_BANDS, SceneSpec, make_degradation, simulate, synth_scene
+    from .tensorfile import load_cube, write_tensor
+
     cfg = _config_from_args(args)
     if (args.gt is None) == (args.synthetic is None):
         raise ValueError("simulate needs exactly one of --gt or --synthetic")
@@ -69,9 +61,8 @@ def _cmd_simulate(args):
         z = load_cube(args.gt)
         if z.ndim != 3:
             raise ValueError(f"ground truth must be 3-way, got ndim={z.ndim}")
-    deg = make_degradation(
-        z.shape, cfg.factor, cfg.kernel_size, cfg.sigma, _resolve_bands(cfg)
-    )
+    bands = IKONOS_BANDS if cfg.band_table is None else read_band_table(cfg.band_table)
+    deg = make_degradation(z.shape, cfg.factor, cfg.kernel_size, cfg.sigma, bands)
     x, y = simulate(z, deg)
     write_tensor(os.path.join(out_dir, "x.cmt"), x)
     write_tensor(os.path.join(out_dir, "y.cmt"), y)
@@ -85,6 +76,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_fuse(args):
+    from .solver import solve
+    from .tensorfile import load_cube, read_tensor, write_tensor
+
     cfg = _config_from_args(args)
     x = load_cube(args.x)
     y = load_cube(args.y)
@@ -111,6 +105,9 @@ def _cmd_fuse(args):
 
 
 def _cmd_eval(args):
+    from .metrics import evaluate
+    from .tensorfile import load_cube
+
     cfg = _config_from_args(args)
     ref = load_cube(args.ref)
     est = load_cube(args.est)

@@ -4,12 +4,15 @@ Unknown keys are rejected; every value is range-checked against the solver
 and degradation invariants. Command-line flags override file values, which
 override the defaults of ``RunConfig`` (for the solver keys, those of
 ``SolverConfig``).
+
+This module imports no numpy, so a command that only reads its configuration
+(or none) starts without the numerical stack.
 """
 
 from dataclasses import dataclass, fields
 
-from .degradation import NAMED_BAND_TABLES
-from .solver import SolverConfig
+TAU_MODES = ("paper", "safe")
+EPS_MODES = ("absolute", "relative")
 
 # Every run key and the type its text parses to; the config file parser and
 # the CLI flags are both built from this table.
@@ -29,6 +32,44 @@ KEYS = {
     "seed": int,
     "peak": float,
 }
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Solver hyperparameters; defaults follow the slow-growth schedule.
+
+    ``eps`` is compared against the max constraint residual directly
+    (absolute mode, the default) or after dividing by |X|_F (relative mode,
+    the practical choice on real data where the subspace model is only
+    approximate and absolute residuals floor at the model mismatch).
+    """
+
+    r: int
+    gamma: float = 0.1
+    rho0: float = 1e-3
+    nu: float = 1.05
+    eps: float = 1e-5
+    max_iter: int = 500
+    tau_mode: str = "safe"
+    eps_mode: str = "absolute"
+
+    def __post_init__(self):
+        if self.r < 1:
+            raise ValueError(f"subspace dimension must be >= 1, got {self.r}")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not self.rho0 > 0:
+            raise ValueError(f"rho0 must be positive, got {self.rho0}")
+        if not self.nu > 1:
+            raise ValueError(f"nu must exceed 1, got {self.nu}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.tau_mode not in TAU_MODES:
+            raise ValueError(f"tau_mode must be one of {TAU_MODES}, got {self.tau_mode!r}")
+        if self.eps_mode not in EPS_MODES:
+            raise ValueError(f"eps_mode must be one of {EPS_MODES}, got {self.eps_mode!r}")
+
 
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "r")
 _SOLVER_DEFAULTS = SolverConfig(r=1)
@@ -120,6 +161,8 @@ def build_run_config(file_values=None, overrides=None):
 
 def read_band_table(path_or_name):
     """Resolve a band table: a built-in name or a file of 'low high' lines."""
+    from .degradation import NAMED_BAND_TABLES
+
     if path_or_name in NAMED_BAND_TABLES:
         return NAMED_BAND_TABLES[path_or_name]
     bands = []

@@ -35,16 +35,17 @@ def tctv(a, modes=(1, 2)):
     return float(np.mean([tnn(gradient_tensor(a, n)) for n in modes]))
 
 
-def nms_tctv(a, psi):
+def nms_tctv(a, psi, grads=None):
     """Mode-shuffled non-convex correlated TV.
 
     Averages, over the two spatial modes, the mode-(3-n) NTPNN of the mode-n
     gradient tensor (mode-2 norm on the mode-1 gradient and vice versa).
+    ``grads`` are the mode-1 and mode-2 gradient tensors of ``a`` when the
+    caller already has them.
     """
-    return 0.5 * (
-        mode_ntpnn(gradient_tensor(a, 1), 2, psi)
-        + mode_ntpnn(gradient_tensor(a, 2), 1, psi)
-    )
+    if grads is None:
+        grads = (gradient_tensor(a, 1), gradient_tensor(a, 2))
+    return 0.5 * (mode_ntpnn(grads[0], 2, psi) + mode_ntpnn(grads[1], 1, psi))
 
 
 def tsvd_rank(t, rel_tol=1e-8):

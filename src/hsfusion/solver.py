@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import TAU_MODES, SolverConfig  # noqa: F401 (SolverConfig re-exported)
 from .errors import DimensionError, DivergenceError
 from .regularizer import nms_tctv
 from .tensor import (
@@ -31,48 +32,6 @@ from .tensor import (
     unfold,
 )
 from .tsvd import LogSurrogate, _fourier_slices, _mirror_index, _slice_svd, ntpnn_prox
-
-TAU_MODES = ("paper", "safe")
-EPS_MODES = ("absolute", "relative")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver hyperparameters; defaults follow the slow-growth schedule.
-
-    ``eps`` is compared against the max constraint residual directly
-    (absolute mode, the default) or after dividing by |X|_F (relative mode,
-    the practical choice on real data where the subspace model is only
-    approximate and absolute residuals floor at the model mismatch).
-    """
-
-    r: int
-    gamma: float = 0.1
-    rho0: float = 1e-3
-    nu: float = 1.05
-    eps: float = 1e-5
-    max_iter: int = 500
-    tau_mode: str = "safe"
-    eps_mode: str = "absolute"
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"subspace dimension must be >= 1, got {self.r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.rho0 > 0:
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if not self.nu > 1:
-            raise ValueError(f"nu must exceed 1, got {self.nu}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tau_mode not in TAU_MODES:
-            raise ValueError(f"tau_mode must be one of {TAU_MODES}")
-        if self.eps_mode not in EPS_MODES:
-            raise ValueError(f"eps_mode must be one of {EPS_MODES}")
-
 
 @dataclass(frozen=True)
 class FusionProblem:
@@ -260,7 +219,7 @@ def lipschitz_tau(p1, p2, p3, s, mode="safe"):
     Operator norms are exact (see operator_norm); |D_n|^2 is in closed form.
     """
     if mode not in TAU_MODES:
-        raise ValueError(f"tau mode must be one of {TAU_MODES}")
+        raise ValueError(f"tau mode must be one of {TAU_MODES}, got {mode!r}")
     n1 = operator_norm(p1)
     n2 = operator_norm(p2)
     nq = operator_norm(np.asarray(p3) @ np.asarray(s))
@@ -322,25 +281,33 @@ def step_a(state, problem, tau, grad=None):
     return replace(state, a=state.a - grad / tau)
 
 
-def step_g(state, n, psi, problem):
-    """Exact g_n update through the shuffled singular-value prox."""
+def step_g(state, n, psi, problem, diff=None):
+    """Exact g_n update through the shuffled singular-value prox; ``diff`` is
+    ``difference(state.a, n)`` when the caller already has it."""
     m = state.m1 if n == 1 else state.m2
-    target = difference(state.a, n) - m / state.rho
-    shrunk = ntpnn_prox(mode_shuffle(target, 3 - n), state.rho, psi)
+    if diff is None:
+        diff = difference(state.a, n)
+    # the target is not kept past its shuffled copy: with the caller's
+    # differences live, that keeps the prox's peak memory down
+    shrunk = ntpnn_prox(mode_shuffle(diff - m / state.rho, 3 - n), state.rho, psi)
     g_new = mode_unshuffle(shrunk, 3 - n)
     if n == 1:
         return replace(state, g1=g_new)
     return replace(state, g2=g_new)
 
 
-def _residual_tensors(state, problem):
-    """The four constraint residual tensors (x, y, g1, g2) of ``state``."""
+def _residual_tensors(state, problem, diffs=None):
+    """The four constraint residual tensors (x, y, g1, g2) of ``state``;
+    ``diffs`` are ``difference(state.a, n)`` for n = 1, 2 when the caller
+    already has them."""
+    if diffs is None:
+        diffs = (difference(state.a, 1), difference(state.a, 2))
     a_lo = mode_n_product(mode_n_product(state.a, problem.p1, 1), problem.p2, 2)
     return (
         problem.x - mode_n_product(a_lo, problem.s, 3),
         problem.y - mode_n_product(state.a, problem.q, 3),
-        state.g1 - difference(state.a, 1),
-        state.g2 - difference(state.a, 2),
+        state.g1 - diffs[0],
+        state.g2 - diffs[1],
     )
 
 
@@ -485,10 +452,13 @@ def solve(x, y, p1, p2, p3, config):
                 raise DivergenceError(
                     f"iterate 'a' became non-finite at iteration {state.iter}"
                 )
-            state = step_g(state, 1, psi, problem)
-            state = step_g(state, 2, psi, problem)
+            # the differences of the new a serve both proxes, the residuals
+            # and the objective trace
+            diffs = (difference(state.a, 1), difference(state.a, 2))
+            state = step_g(state, 1, psi, problem, diffs[0])
+            state = step_g(state, 2, psi, problem, diffs[1])
             rho_used = state.rho
-            tensors = _residual_tensors(state, problem)
+            tensors = _residual_tensors(state, problem, diffs)
             state = update_multipliers(state, problem, config.nu, tensors)
             res = residuals(state, problem, tensors)
             # the gradient at the new state is also the next iteration's step
@@ -506,7 +476,9 @@ def solve(x, y, p1, p2, p3, config):
         diag.res_g1.append(float(res[2]))
         diag.res_g2.append(float(res[3]))
         diag.rho.append(float(rho_used))
-        diag.objective.append(nms_tctv(state.a, psi))
+        diag.objective.append(nms_tctv(state.a, psi, diffs))
+        # freed now, so they add nothing to the peak of the next step or of z_hat
+        del diffs
         diag.grad_norm.append(float(norms[0]))
         diag.mx_norm.append(float(norms[1]))
         diag.my_norm.append(float(norms[2]))

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,7 +268,7 @@ def test_fuse_bad_eps_mode_fails_before_reading_inputs(tmp_path, capsys):
         "--r", "2", "--eps-mode", "scaled",
     )
     assert code == 1
-    assert err.startswith("error:") and "eps_mode" in err
+    assert err.startswith("error:") and "eps_mode" in err and "'scaled'" in err
 
 
 def test_eval_self_comparison(pipeline_dir, capsys):
@@ -443,3 +447,55 @@ def test_cli_config_file_supplies_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert read_tensor(out / "x.cmt").shape == (4, 4, 32)
+
+
+# ------------------------------------------------------------------ start-up
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _modules_loaded(*argv):
+    """Run ``main(argv)`` in a fresh interpreter; returns its exit code and the
+    modules loaded after ``import hsfusion.cli`` and after the command."""
+    script = (
+        "import json, sys\n"
+        "import hsfusion.cli\n"
+        "on_import = sorted(sys.modules)\n"
+        "code = hsfusion.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, on_import, sorted(sys.modules)]))\n"
+    )
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+    code, on_import, after = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(on_import), set(after)
+
+
+def test_cli_import_and_diagnose_load_no_numpy(pipeline_dir, tmp_path):
+    code, on_import, after = _modules_loaded(
+        "diagnose", "--report", str(pipeline_dir / "report.json"),
+        "--csv", str(tmp_path / "curves.csv"),
+    )
+    assert code == 0
+    assert (tmp_path / "curves.csv").exists()
+    assert "numpy" not in on_import
+    assert "numpy" not in after
+
+
+def test_each_command_loads_only_what_it_runs(pipeline_dir, tmp_path):
+    d = pipeline_dir
+    operators = [arg for name in ("x", "y", "p1", "p2", "p3")
+                 for arg in (f"--{name}", str(d / f"{name}.cmt"))]
+    commands = {
+        "simulate": (["--gt", str(d / "z.cmt"), "--factor", "4", "--band-table",
+                      str(d / "bands.txt"), "--out-dir", str(tmp_path)], "hsfusion.solver"),
+        "fuse": ([*operators, "--r", "2", "--max-iter", "2",
+                  "--out", str(tmp_path / "z_hat.cmt")], "hsfusion.metrics"),
+        "eval": (["--ref", str(d / "z.cmt"), "--est", str(d / "z_hat.cmt"),
+                  "--factor", "4"], "hsfusion.solver"),
+    }
+    for command, (args, skipped) in commands.items():
+        code, _, after = _modules_loaded(command, *args)
+        assert code == 0, command
+        assert "numpy" in after, command
+        assert skipped not in after, command

@@ -1,8 +1,9 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsfusion import (
@@ -29,6 +30,7 @@ from hsfusion import (
     synth_scene,
     t_product,
 )
+from hsfusion import regularizer as regularizer_module
 from hsfusion import solver as solver_module
 from hsfusion import tsvd as tsvd_module
 from hsfusion.solver import (
@@ -644,9 +646,9 @@ def test_wall_time_covers_each_iteration_and_its_diagnostics(monkeypatch):
     pause = 0.05
     objective = solver_module.nms_tctv
 
-    def slow_objective(a, psi):
+    def slow_objective(a, psi, *args):
         time.sleep(pause)
-        return objective(a, psi)
+        return objective(a, psi, *args)
 
     monkeypatch.setattr(solver_module, "nms_tctv", slow_objective)
     _, deg, x, y = _small_instance()
@@ -665,6 +667,74 @@ def test_solve_rejects_non_finite_inputs():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         solve(bad, prob.y, prob.p1, prob.p2, prob.p3, SolverConfig(r=2))
+
+
+@pytest.mark.parametrize("max_iter", [1, 5])
+def test_solve_takes_each_difference_once_per_iteration(monkeypatch, max_iter):
+    # the proxes, the residuals and the objective trace share one difference
+    # of a per mode; the initial residuals and the first step's gradient take
+    # one pair each
+    calls = []
+    for module in (solver_module, regularizer_module):
+        def counting_difference(t, mode, original=module.difference):
+            calls.append(mode)
+            return original(t, mode)
+
+        monkeypatch.setattr(module, "difference", counting_difference)
+    _, deg, x, y = _small_instance()
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=max_iter))
+    assert diag.iterations == max_iter
+    assert calls == [1, 2] * (max_iter + 2)
+
+
+def test_mode_checks_name_the_rejected_value():
+    with pytest.raises(ValueError, match="got 'fast'"):
+        SolverConfig(r=1, tau_mode="fast")
+    with pytest.raises(ValueError, match="got 'scaled'"):
+        SolverConfig(r=1, eps_mode="scaled")
+    with pytest.raises(ValueError, match="got 'fast'"):
+        lipschitz_tau(np.eye(2), np.eye(2), np.eye(2), np.eye(2), mode="fast")
+
+
+_EDGE_ITERATIONS = 30
+
+
+# (I1, I2, I3, J1, J2, J3, R): the observations are J1 x J2 x I3 and I1 x I2 x J3
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    i1=st.integers(2, 5), i2=st.integers(2, 5), i3=st.sampled_from([1, 2, 3, 5, 7]),
+    j1=st.integers(1, 5), j2=st.integers(1, 5), j3=st.integers(1, 3),
+    r_is_i3=st.booleans(), seed=st.integers(0, 2**32 - 1),
+)
+@example(i1=2, i2=2, i3=4, j1=1, j2=1, j3=2, r_is_i3=False, seed=0)  # I1 = I2 = 2, R = 1
+@example(i1=2, i2=5, i3=3, j1=2, j2=2, j3=2, r_is_i3=True, seed=1)  # I1 = 2, R = I3
+@example(i1=5, i2=2, i3=3, j1=2, j2=2, j3=2, r_is_i3=True, seed=2)  # I2 = 2, R = I3
+@example(i1=5, i2=3, i3=1, j1=2, j2=1, j3=1, r_is_i3=True, seed=3)  # I3 = R = 1
+@example(i1=2, i2=2, i3=1, j1=1, j2=1, j3=1, r_is_i3=False, seed=4)  # all at the minimum
+@example(i1=5, i2=5, i3=5, j1=3, j2=2, j3=2, r_is_i3=True, seed=5)  # odd tubes, R = I3
+@example(i1=3, i2=5, i3=6, j1=3, j2=5, j3=3, r_is_i3=False, seed=6)  # odd tubes, R = 1
+@example(i1=4, i2=4, i3=4, j1=2, j2=2, j3=2, r_is_i3=True, seed=7)  # even sides, R = I3
+def test_solve_on_edge_shapes_is_finite_and_repeatable(i1, i2, i3, j1, j2, j3, r_is_i3, seed):
+    j1, j2 = min(j1, i1), min(j2, i2)
+    # the subspace of x needs R <= min(I3, J1 J2)
+    r = min(i3, j1 * j2) if r_is_i3 else 1
+    prob = _random_problem(np.random.default_rng(seed), big=(i1, i2, i3),
+                           small=(j1, j2, j3), r=r)
+    cfg = SolverConfig(r=r, eps=1e-300, max_iter=_EDGE_ITERATIONS)
+    runs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            z, diag = solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3, cfg)
+            report = diag.to_dict()
+            del report["wall_time"]
+            runs.append((z.tobytes(), report))
+    assert z.shape == (i1, i2, i3)
+    assert np.isfinite(z).all()
+    assert diag.iterations == _EDGE_ITERATIONS
+    for key in ("res_x", "res_y", "res_g1", "res_g2", "objective", "grad_norm", "mx_norm"):
+        assert len(report[key]) == _EDGE_ITERATIONS and np.isfinite(report[key]).all(), key
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------- kkt
