@@ -15,7 +15,8 @@ is on the maximum of the four constraint residual norms.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .tensor import (
     require_finite,
     unfold,
 )
-from .tsvd import LogSurrogate, _fourier_slices, _mirror_index, _slice_svd, ntpnn_prox
+from .tsvd import LogSurrogate, _subgradient_deviation, ntpnn_prox
 
 @dataclass(frozen=True)
 class FusionProblem:
@@ -137,6 +138,8 @@ class Diagnostics:
     tau_mode: str
     eps: float
     eps_mode: str = "absolute"
+    iterations: int = 0
+    converged: bool = False
     res_x: list = field(default_factory=list)
     res_y: list = field(default_factory=list)
     res_g1: list = field(default_factory=list)
@@ -147,29 +150,11 @@ class Diagnostics:
     wall_time: list = field(default_factory=list)
     mx_norm: list = field(default_factory=list)
     my_norm: list = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
     kkt: KKTReport | None = None
 
     def to_dict(self):
-        d = {
-            "tau": self.tau,
-            "tau_mode": self.tau_mode,
-            "eps": self.eps,
-            "eps_mode": self.eps_mode,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "res_x": list(self.res_x),
-            "res_y": list(self.res_y),
-            "res_g1": list(self.res_g1),
-            "res_g2": list(self.res_g2),
-            "rho": list(self.rho),
-            "objective": list(self.objective),
-            "grad_norm": list(self.grad_norm),
-            "wall_time": list(self.wall_time),
-            "mx_norm": list(self.mx_norm),
-            "my_norm": list(self.my_norm),
-        }
+        """The fields in declaration order, lists copied, ``kkt`` as its dict."""
+        d = {f.name: copy(getattr(self, f.name)) for f in fields(self)}
         d["kkt"] = self.kkt.to_dict() if self.kkt is not None else None
         return d
 
@@ -333,25 +318,6 @@ def update_multipliers(state, problem, nu, tensors=None):
     )
 
 
-def _subgradient_deviation(g, m, psi, n, rel_rank_tol=1e-8):
-    """Max deviation of the multiplier's Fourier singular components from
-    -psi'(sigma)/2 over the retained singular values of g (shuffled mode n).
-
-    The retained count is over all I3 Fourier slices; the deviation of a
-    mirrored slice equals that of its stored conjugate.
-    """
-    g = mode_shuffle(g, n)
-    u, s, vh = _slice_svd(_fourier_slices(g), full_matrices=False)
-    sv_max = float(s.max(initial=0.0))
-    if sv_max == 0.0:
-        return 0.0, 0
-    mh = _fourier_slices(mode_shuffle(m, n))
-    comp = ((u.conj().swapaxes(1, 2) @ mh) * vh.conj()).sum(axis=2)
-    keep = s > rel_rank_tol * sv_max
-    dev = np.abs(comp - (-0.5 * psi.deriv(s)))[keep].max(initial=0.0)
-    return float(dev), int(keep[_mirror_index(g.shape[2])].sum())
-
-
 def _trace_stats(trace):
     arr = np.asarray(trace, dtype=float)
     if arr.size == 0:
@@ -439,8 +405,9 @@ def solve(x, y, p1, p2, p3, config):
     diag = Diagnostics(tau=tau, tau_mode=config.tau_mode, eps=eps,
                        eps_mode=config.eps_mode)
     state = initial_state(problem, config.rho0)
-    res = residuals(state, problem)
-    grad = None
+    tensors = _residual_tensors(state, problem)
+    res = residuals(state, problem, tensors)
+    grad = grad_a(state, problem, tensors)
     while res.max() > eps and state.iter < config.max_iter:
         t_start = time.perf_counter()
         # overflow here is the divergence path; the finite checks below

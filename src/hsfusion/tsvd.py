@@ -8,10 +8,12 @@ real and the factorization work is halved. Fourier slices 0 and Nyquist of a
 real tensor have zero imaginary part, and the inverse rfft reads only their
 real part.
 
-The slices the solver factorizes are tall and thin, (I_n - 1) x R. The prox
-and the norms factor them QR-first (Chan, ACM TOMS 1982): a slice C = QR has
-the singular values and right vectors of its small R factor, which keeps the
-SVD's backward stability and never forms Q or the left vectors."""
+The slices the solver factorizes are tall and thin, (I_n - 1) x R; wide ones
+(I_n = 2) are factored through the transposed tensor. The prox, the norms and
+the KKT subgradient check all factor them QR-first (Chan, ACM TOMS 1982): a
+slice C = QR has the singular values and right vectors of its small R factor,
+which keeps the SVD's backward stability. Only the subgradient check forms Q,
+and it applies the left vectors as Q W, where R = W S V^H."""
 
 from dataclasses import dataclass
 
@@ -114,24 +116,28 @@ def _factorization_error(slices, exc):
     return FactorizationError(f"SVD failed on {where}: {exc}")
 
 
-def _slice_svd(slices, **kwargs):
-    """One batched SVD over stacked Fourier slices; errors name the first non-finite one."""
-    try:
-        return np.linalg.svd(slices, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise _factorization_error(slices, exc) from exc
+def _tall_axes(t):
+    """Axes that swap modes 1 and 2 of t when its Fourier slices are wide, else
+    keep them. A real tensor's Fourier slices transpose with it, with the same
+    singular values, so the slice kernel only sees tall slices; the
+    permutation is its own inverse."""
+    return (1, 0, 2) if t.shape[0] < t.shape[1] else (0, 1, 2)
 
 
-def _thin_slice_svd(slices, compute_uv=True):
+def _thin_slice_svd(slices, compute_uv=True, left=False):
     """Singular values, and V^H when ``compute_uv``, of stacked slices with at
     least as many rows as columns, from one batched SVD of their square QR
-    factors R: C = QR and R = W S V^H give C = (QW) S V^H."""
+    factors R: C = QR and R = W S V^H give C = (QW) S V^H. With ``left``,
+    returns (Q, W, S, V^H)."""
     try:
-        r = np.linalg.qr(slices, mode="r")
+        if left:
+            q, r = np.linalg.qr(slices)
+        else:
+            r = np.linalg.qr(slices, mode="r")
         if not compute_uv:
             return np.linalg.svd(r, compute_uv=False)
-        _, s, vh = np.linalg.svd(r)
-        return s, vh
+        w, s, vh = np.linalg.svd(r)
+        return (q, w, s, vh) if left else (s, vh)
     except np.linalg.LinAlgError as exc:
         raise _factorization_error(slices, exc) from exc
 
@@ -145,7 +151,11 @@ def t_svd(t):
     """
     t = np.asarray(t, dtype=float)
     i1, i2, i3 = t.shape
-    u, s, vh = _slice_svd(_fourier_slices(t), full_matrices=True)
+    slices = _fourier_slices(t)
+    try:
+        u, s, vh = np.linalg.svd(slices)
+    except np.linalg.LinAlgError as exc:
+        raise _factorization_error(slices, exc) from exc
     diag = np.arange(s.shape[1])
     sh = np.zeros((s.shape[0], i1, i2))
     sh[:, diag, diag] = s
@@ -158,8 +168,7 @@ def t_svd(t):
 
 def _fourier_singular_values(t):
     """Singular values of every Fourier slice, shape (I3, min(I1, I2))."""
-    if t.shape[0] < t.shape[1]:
-        t = t.swapaxes(0, 1)  # a real tensor's Fourier slices transpose with it
+    t = t.transpose(_tall_axes(t))
     s = _thin_slice_svd(_fourier_slices(t), compute_uv=False)
     return s[_mirror_index(t.shape[2])]
 
@@ -232,12 +241,35 @@ def ntpnn_prox(c, rho, psi):
     c = np.asarray(c, dtype=float)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    if c.shape[0] < c.shape[1]:
-        # a real tensor's Fourier slices transpose with it
-        return ntpnn_prox(c.swapaxes(0, 1), rho, psi).swapaxes(0, 1)
-    slices = _fourier_slices(c)
+    axes = _tall_axes(c)
+    slices = _fourier_slices(c.transpose(axes))
     s, vh = _thin_slice_svd(slices)
     shrunk = prox_singular_values(s, rho, psi)
     ratio = np.divide(shrunk, s, out=np.zeros_like(s), where=s > 0)
     gain = (vh.conj().swapaxes(1, 2) * ratio[:, None, :]) @ vh
-    return _from_fourier_slices(slices @ gain, c.shape[2])
+    return _from_fourier_slices(slices @ gain, c.shape[2]).transpose(axes)
+
+
+def _subgradient_deviation(g, m, psi, n, rel_rank_tol=1e-8):
+    """Max deviation of the multiplier's Fourier singular components from
+    -psi'(sigma)/2 over the retained singular values of g (shuffled mode n),
+    and the retained count.
+
+    With a slice C = QR, R = W S V^H and M the multiplier's slice, the
+    components are u_i^H M v_i = [W^H (Q^H M) V]_ii. A wide pair is checked
+    transposed, which leaves the components of a real pair unchanged. The
+    retained count is over all I3 Fourier slices; the deviation of a mirrored
+    slice equals that of its stored conjugate.
+    """
+    g = mode_shuffle(g, n)
+    axes = _tall_axes(g)
+    q, w, s, vh = _thin_slice_svd(_fourier_slices(g.transpose(axes)), left=True)
+    sv_max = float(s.max(initial=0.0))
+    if sv_max == 0.0:
+        return 0.0, 0
+    mh = _fourier_slices(mode_shuffle(m, n).transpose(axes))
+    wqm = w.conj().swapaxes(1, 2) @ (q.conj().swapaxes(1, 2) @ mh)
+    comp = (wqm * vh.conj()).sum(axis=2)
+    keep = s > rel_rank_tol * sv_max
+    dev = np.abs(comp - (-0.5 * psi.deriv(s)))[keep].max(initial=0.0)
+    return float(dev), int(keep[_mirror_index(g.shape[2])].sum())

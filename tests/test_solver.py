@@ -32,11 +32,9 @@ from hsfusion import (
 )
 from hsfusion import regularizer as regularizer_module
 from hsfusion import solver as solver_module
-from hsfusion import tsvd as tsvd_module
 from hsfusion.solver import (
     FusionProblem,
     _residual_tensors,
-    _subgradient_deviation,
     grad_a,
     initial_state,
     l1_objective,
@@ -45,6 +43,7 @@ from hsfusion.solver import (
     step_g,
     update_multipliers,
 )
+from hsfusion.tsvd import _subgradient_deviation
 from dataclasses import replace
 
 PSI = LogSurrogate(0.1)
@@ -596,29 +595,25 @@ def test_solve_raises_divergence_error_on_gradient_multiplier_overflow(monkeypat
 
 @pytest.mark.parametrize("max_iter", [1, 6])
 def test_solve_forms_no_left_singular_vectors_in_its_loop(monkeypatch, max_iter):
-    # the loop's proxes and objective trace factor each thin slice stack
-    # through its square R factors; only kkt_check's two subgradient checks
-    # take an SVD of the slices themselves
-    slice_svds, thin_svds = [], []
-    slice_svd, svd = tsvd_module._slice_svd, np.linalg.svd
-
-    def counting_slice_svd(*args, **kwargs):
-        slice_svds.append(args[0].shape)
-        return slice_svd(*args, **kwargs)
+    # every Fourier slice stack of a solve, kkt_check's included, is factored
+    # through its square R factors; the only other SVD is extract_subspace's
+    # of the 2-D unfolding
+    shapes, svd = [], np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
-        if a.ndim == 3 and a.shape[1] != a.shape[2]:
-            thin_svds.append(a.shape)
+        shapes.append(a.shape)
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(tsvd_module, "_slice_svd", counting_slice_svd)
-    monkeypatch.setattr(solver_module, "_slice_svd", counting_slice_svd)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     _, deg, x, y = _small_instance()
     _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=max_iter))
     assert diag.iterations == max_iter
-    assert len(slice_svds) == 2
-    assert thin_svds == slice_svds
+    unfoldings = [shape for shape in shapes if len(shape) == 2]
+    assert unfoldings == [(x.shape[2], x.shape[0] * x.shape[1])]
+    stacks = [shape for shape in shapes if len(shape) == 3]
+    assert all(shape[1] == shape[2] for shape in stacks)
+    # two proxes and the objective trace's two norms per iteration, two KKT checks
+    assert len(stacks) == 4 * max_iter + 2
 
 
 def _misaligned_readonly(a):
@@ -672,8 +667,8 @@ def test_solve_rejects_non_finite_inputs():
 @pytest.mark.parametrize("max_iter", [1, 5])
 def test_solve_takes_each_difference_once_per_iteration(monkeypatch, max_iter):
     # the proxes, the residuals and the objective trace share one difference
-    # of a per mode; the initial residuals and the first step's gradient take
-    # one pair each
+    # of a per mode; the initial residuals and the first step's gradient share
+    # one more pair
     calls = []
     for module in (solver_module, regularizer_module):
         def counting_difference(t, mode, original=module.difference):
@@ -684,7 +679,7 @@ def test_solve_takes_each_difference_once_per_iteration(monkeypatch, max_iter):
     _, deg, x, y = _small_instance()
     _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=max_iter))
     assert diag.iterations == max_iter
-    assert calls == [1, 2] * (max_iter + 2)
+    assert calls == [1, 2] * (max_iter + 1)
 
 
 def test_mode_checks_name_the_rejected_value():
@@ -757,17 +752,29 @@ def _subgradient_deviation_slice_loop(g, m, psi, n, rel_rank_tol=1e-8):
 
 
 @pytest.mark.parametrize("tubes", [1, 2, 3, 4, 7, 8])
-def test_subgradient_deviation_matches_slice_loop(tubes):
-    rng = np.random.default_rng(tubes)
-    for n in (1, 2):
-        # after the shuffle, g is a t-product of two thin tensors: rank one per slice
-        low = t_product(rng.standard_normal((5, 1, tubes)), rng.standard_normal((1, 4, tubes)))
-        g = mode_unshuffle(low, n)
-        m = mode_unshuffle(rng.standard_normal(low.shape), n)
-        dev, kept = _subgradient_deviation(g, m, PSI, n)
-        want_dev, want_kept = _subgradient_deviation_slice_loop(g, m, PSI, n)
-        assert kept == want_kept == tubes
-        assert dev == pytest.approx(want_dev, rel=1e-12)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    rows=st.sampled_from([1, 2, 3, 6]),  # I_n - 1: one row is I_n = 2
+    cols=st.sampled_from([1, 2, 3, 5]),  # R
+    rank=st.integers(1, 6),
+    n=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=1, cols=5, rank=1, n=1, seed=0)  # wide: I_n = 2, R = 5
+@example(rows=6, cols=5, rank=3, n=2, seed=1)  # tall, rank 3 of 5
+def test_subgradient_deviation_matches_slice_loop(tubes, rows, cols, rank, n, seed):
+    # after the shuffle, g is a t-product of two thin tensors, of rank
+    # min(rank, rows, cols) per slice; tall and wide slices alike
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    low = t_product(rng.standard_normal((rows, rank, tubes)),
+                    rng.standard_normal((rank, cols, tubes)))
+    g = mode_unshuffle(low, n)
+    m = mode_unshuffle(rng.standard_normal(low.shape), n)
+    dev, kept = _subgradient_deviation(g, m, PSI, n)
+    want_dev, want_kept = _subgradient_deviation_slice_loop(g, m, PSI, n)
+    assert kept == want_kept
+    assert dev == pytest.approx(want_dev, rel=1e-12)
 
 
 def test_kkt_zero_data_exact_point():
@@ -820,13 +827,13 @@ def test_kkt_check_reuses_final_residuals_and_gradient(monkeypatch, eps, iterati
     _, deg, x, y = _small_instance()
     _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=5, eps=eps))
     assert diag.iterations == iterations
-    # the first step's gradient, then one per iteration, which the next step
-    # and kkt_check reuse; kkt_check's own when the loop never ran
-    assert len(grads) == iterations + 1
-    # the loop's gradients reuse the iteration's residual tensors
-    assert grads == [False] + [True] * iterations
+    # the initial state's gradient, then one per iteration, which the next
+    # step and kkt_check reuse; every one reuses the residual tensors that
+    # solve already holds
+    assert grads == [True] * (iterations + 1)
     ((args, kwargs),) = checks
     assert kwargs["res"] is not None
+    assert kwargs["grad"] is not None
     assert check(*args).to_dict() == diag.kkt.to_dict()
 
 

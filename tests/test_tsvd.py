@@ -14,6 +14,7 @@ from hsfusion import (
     make_degradation,
     mode_ntpnn,
     mode_shuffle,
+    mode_unshuffle,
     ntpnn,
     ntpnn_prox,
     scalar_prox,
@@ -30,6 +31,8 @@ from hsfusion.tsvd import (
     _fourier_singular_values,
     _fourier_slices,
     _from_fourier_slices,
+    _mirror_index,
+    _subgradient_deviation,
     _thin_slice_svd,
     prox_singular_values,
 )
@@ -409,11 +412,66 @@ def _svd_prox(c, rho, psi):
     return _from_fourier_slices((u * shrunk[:, None, :]) @ vh, c.shape[2])
 
 
+def _subgradient_deviation_full_svd(g, m, psi, n, rel_rank_tol=1e-8):
+    """_subgradient_deviation through a thin SVD of each stored Fourier slice,
+    wide ones included, U formed."""
+    g = mode_shuffle(g, n)
+    u, s, vh = np.linalg.svd(_fourier_slices(g), full_matrices=False)
+    sv_max = float(s.max(initial=0.0))
+    if sv_max == 0.0:
+        return 0.0, 0
+    mh = _fourier_slices(mode_shuffle(m, n))
+    comp = ((u.conj().swapaxes(1, 2) @ mh) * vh.conj()).sum(axis=2)
+    keep = s > rel_rank_tol * sv_max
+    dev = np.abs(comp - (-0.5 * psi.deriv(s)))[keep].max(initial=0.0)
+    return float(dev), int(keep[_mirror_index(g.shape[2])].sum())
+
+
+def _hadamard(n):
+    """Sylvester Hadamard matrix of order n, a power of two."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@pytest.mark.parametrize("log_spread", [-4, -6, -7.9])
+def test_subgradient_deviation_is_as_accurate_as_full_svd_on_graded_spectra(log_spread):
+    # g = U diag(sigma) V^T from scaled Hadamard columns and power-of-two
+    # sigma is exact in floating point, and m is a random matrix whose
+    # components u_i^T m v_i are set to -psi'(sigma_i)/2, so the deviation a
+    # route reports is its own error. Both routes' errors grow like
+    # eps / min(sigma) and agree to about four digits; either one is the
+    # smaller on about half the instances, so the maxima over the instances
+    # are compared.
+    rows, k = 64, 4
+    sigma = 2.0 ** np.round(np.linspace(0.0, log_spread * np.log2(10.0), k))
+    errors = {"qr": [], "svd": []}
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], size=k)
+        u = _hadamard(rows)[rng.permutation(rows)][:, rng.permutation(rows)[:k]] / 8.0 * signs
+        v = _hadamard(k)[rng.permutation(k)] / 2.0
+        r = rng.standard_normal((rows, k))
+        t = -0.5 * PSI.deriv(sigma) - np.einsum("ij,ik,kj->j", u, r, v)
+        g, m = (u * sigma) @ v.T, r + (u * t) @ v.T
+        for pair in ((g, m), (g.T, m.T)):  # tall and wide
+            g3, m3 = (mode_unshuffle(a[:, :, None], 2) for a in pair)
+            for route, check in (("qr", _subgradient_deviation),
+                                 ("svd", _subgradient_deviation_full_svd)):
+                dev, kept = check(g3, m3, PSI, 2)
+                assert kept == k
+                errors[route].append(dev)
+    assert max(errors["qr"]) <= (1.0 + 1e-3) * max(errors["svd"])
+
+
 def test_prox_matches_svd_prox_on_late_iterations(monkeypatch):
     # prox inputs of the 64x64x32 acceptance solve from iteration 400 on,
-    # where rho has grown past 2.9e5 and small singular values survive the prox
-    calls, inputs = [], []
+    # where rho has grown past 2.9e5 and small singular values survive the
+    # prox; and the KKT subgradient check on the final state
+    calls, inputs, checks = [], [], []
     prox = solver_module.ntpnn_prox
+    check = solver_module._subgradient_deviation
 
     def recording_prox(c, rho, psi):
         calls.append(rho)
@@ -421,7 +479,12 @@ def test_prox_matches_svd_prox_on_late_iterations(monkeypatch):
             inputs.append((c.copy(), rho))
         return prox(c, rho, psi)
 
+    def recording_check(g, m, psi, n):
+        checks.append(((g, m, psi, n), check(g, m, psi, n)))
+        return checks[-1][1]
+
     monkeypatch.setattr(solver_module, "ntpnn_prox", recording_prox)
+    monkeypatch.setattr(solver_module, "_subgradient_deviation", recording_check)
     z, _, _ = synth_scene(SceneSpec(shape=(64, 64, 32), r=3, blocks=4, seed=14))
     deg = make_degradation(z.shape, 4, 9, 3.3973, IKONOS_BANDS)
     x, y = simulate(z, deg)
@@ -431,6 +494,11 @@ def test_prox_matches_svd_prox_on_late_iterations(monkeypatch):
     for c, rho in inputs:
         want = _svd_prox(c, rho, PSI)
         assert np.linalg.norm(ntpnn_prox(c, rho, PSI) - want) <= 1e-12 * np.linalg.norm(want)
+    assert [kept for _, (_, kept) in checks] == [156, 165]
+    for args, (dev, kept) in checks:
+        want_dev, want_kept = _subgradient_deviation_full_svd(*args)
+        assert kept == want_kept
+        assert abs(dev - want_dev) <= 1e-15
 
 
 @pytest.mark.parametrize("shape", [(5, 3, 6), (3, 5, 6)])  # tall and wide slices
