@@ -10,28 +10,11 @@ This module imports no numpy, so a command that only reads its configuration
 """
 
 from dataclasses import dataclass, fields
+from typing import get_args
 
 TAU_MODES = ("paper", "safe")
 EPS_MODES = ("absolute", "relative")
 
-# Every run key and the type its text parses to; the config file parser and
-# the CLI flags are both built from this table.
-KEYS = {
-    "r": int,
-    "gamma": float,
-    "rho0": float,
-    "nu": float,
-    "eps": float,
-    "max_iter": int,
-    "tau_mode": str,
-    "eps_mode": str,
-    "factor": int,
-    "kernel_size": int,
-    "sigma": float,
-    "band_table": str,
-    "seed": int,
-    "peak": float,
-}
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -119,6 +102,11 @@ class RunConfig:
 
     def _solver_config(self, r):
         return SolverConfig(r=r, **{key: getattr(self, key) for key in _SOLVER_KEYS})
+
+
+# Every run key and the type its text parses to (``int | None`` parses as
+# int); the config file parser and the CLI flags are both built from this table.
+KEYS = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
 
 
 def parse_config_text(text, source="<config>"):

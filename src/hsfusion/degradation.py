@@ -58,15 +58,13 @@ def gaussian_kernel_1d(size, sigma):
     return w / w.sum()
 
 
-def build_spatial_degradation(big_dim, factor, kernel, boundary="circular"):
+def build_spatial_degradation(big_dim, factor, kernel):
     """(big_dim/factor) x big_dim matrix: circular convolution then decimation.
 
     Row i holds the blur kernel centered at sample i*factor (offset 0
     decimation). Applying it along one tensor mode equals blur-then-decimate
     on that axis.
     """
-    if boundary != "circular":
-        raise ValueError(f"unsupported boundary rule {boundary!r}")
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 1 or kernel.size % 2 == 0:
         raise ValueError("kernel must be a 1-d odd-length vector")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .degradation import gaussian_kernel_1d
 from .errors import DimensionError, MetricUndefinedError
 from .tensor import mode_n_product
 
@@ -107,12 +108,6 @@ def sam(ref, est):
     return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).mean())
 
 
-def _gaussian_window(size, sigma):
-    k = np.arange(size, dtype=float) - (size - 1) / 2
-    w = np.exp(-(k * k) / (2.0 * sigma * sigma))
-    return w / w.sum()
-
-
 def _toeplitz(w, rows):
     """The rows x (rows + w.size - 1) Toeplitz matrix of a 'valid' correlation
     with the window w."""
@@ -140,6 +135,8 @@ def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
     rows are one contiguous block of the band-interleaved cube. The separable
     window is applied down the rows as one banded (Toeplitz) product and
     across the columns as batched products with tiles of the same matrix.
+    The window is ``degradation.gaussian_kernel_1d(win_size, win_sigma)``, so
+    ``win_size`` must be odd.
     """
     ref, est = _check_same_shape(ref, est)
     if not peak > 0:
@@ -154,7 +151,7 @@ def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
     reach = win_size - 1
     n1, n2 = i1 - reach, i2 - reach
     slab = min(_SLAB_ROWS, n1)
-    toeplitz = _toeplitz(_gaussian_window(win_size, win_sigma), slab)
+    toeplitz = _toeplitz(gaussian_kernel_1d(win_size, win_sigma), slab)
     # allocated once per call: a product map's input rows (then scratch for
     # the SSIM map), its row-filtered slab, and the five local moments
     prod = np.empty((slab + reach, i2, bands))

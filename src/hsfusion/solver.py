@@ -233,12 +233,13 @@ def initial_state(problem, rho0):
     )
 
 
-def grad_a(state, problem, tensors=None):
+def grad_a(state, problem, tensors):
     """Gradient of the smooth augmented objective in a: -2 A^T(r + m/rho),
-    where r are the constraint residuals b - A a and A^T is the adjoint of the
-    four constraint maps; ``tensors`` are as in :func:`residuals`."""
+    where ``tensors`` are the constraint residuals r = b - A a of ``state``
+    (see :func:`_residual_tensors`) and A^T is the adjoint of the four
+    constraint maps."""
     rho = state.rho
-    rx, ry, r1, r2 = tensors if tensors is not None else _residual_tensors(state, problem)
+    rx, ry, r1, r2 = tensors
     # S^T first: it shrinks the tensor that the spatial back-projections enlarge
     xt = mode_n_product(rx + state.mx / rho, problem.s.T, 3)
     back = mode_n_product(mode_n_product(xt, problem.p1.T, 1), problem.p2.T, 2)
@@ -251,27 +252,24 @@ def grad_a(state, problem, tensors=None):
 def l1_objective(state, problem):
     """Smooth augmented objective in a, the sum of |r + m/rho|_F^2 over the four
     constraints (the quantity grad_a differentiates)."""
+    diffs = (difference(state.a, 1), difference(state.a, 2))
     ms = (state.mx, state.my, state.m1, state.m2)
     return float(sum(np.sum((r + m / state.rho) ** 2)
-                     for r, m in zip(_residual_tensors(state, problem), ms)))
+                     for r, m in zip(_residual_tensors(state, problem, diffs), ms)))
 
 
-def step_a(state, problem, tau, grad=None):
-    """One gradient descent step: a <- a - grad/tau, where ``grad`` is
-    ``grad_a(state, problem)`` unless the caller already has it."""
+def step_a(state, tau, grad):
+    """One gradient descent step a <- a - grad/tau, where ``grad`` is
+    :func:`grad_a` at ``state``."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if grad is None:
-        grad = grad_a(state, problem)
     return replace(state, a=state.a - grad / tau)
 
 
-def step_g(state, n, psi, problem, diff=None):
+def step_g(state, n, psi, diff):
     """Exact g_n update through the shuffled singular-value prox; ``diff`` is
-    ``difference(state.a, n)`` when the caller already has it."""
+    ``difference(state.a, n)``."""
     m = state.m1 if n == 1 else state.m2
-    if diff is None:
-        diff = difference(state.a, n)
     # the target is not kept past its shuffled copy: with the caller's
     # differences live, that keeps the prox's peak memory down
     shrunk = ntpnn_prox(mode_shuffle(diff - m / state.rho, 3 - n), state.rho, psi)
@@ -281,12 +279,9 @@ def step_g(state, n, psi, problem, diff=None):
     return replace(state, g2=g_new)
 
 
-def _residual_tensors(state, problem, diffs=None):
+def _residual_tensors(state, problem, diffs):
     """The four constraint residual tensors (x, y, g1, g2) of ``state``;
-    ``diffs`` are ``difference(state.a, n)`` for n = 1, 2 when the caller
-    already has them."""
-    if diffs is None:
-        diffs = (difference(state.a, 1), difference(state.a, 2))
+    ``diffs`` are ``difference(state.a, n)`` for n = 1, 2."""
     a_lo = mode_n_product(mode_n_product(state.a, problem.p1, 1), problem.p2, 2)
     return (
         problem.x - mode_n_product(a_lo, problem.s, 3),
@@ -296,19 +291,16 @@ def _residual_tensors(state, problem, diffs=None):
     )
 
 
-def residuals(state, problem, tensors=None):
-    """The four constraint residual Frobenius norms (x, y, g1, g2); ``tensors``
-    are the residual tensors of ``state`` when the caller already has them."""
-    if tensors is None:
-        tensors = _residual_tensors(state, problem)
+def residuals(tensors):
+    """The Frobenius norms of the four residual tensors (x, y, g1, g2)."""
     return np.array([np.linalg.norm(r) for r in tensors])
 
 
-def update_multipliers(state, problem, nu, tensors=None):
-    """Dual ascent on the four multipliers, then geometric penalty growth;
-    ``tensors`` are as in :func:`residuals`."""
+def update_multipliers(state, nu, tensors):
+    """Dual ascent on the four multipliers along the residual ``tensors`` of
+    ``state``, then geometric penalty growth."""
     rho = state.rho
-    rx, ry, r1, r2 = tensors if tensors is not None else _residual_tensors(state, problem)
+    rx, ry, r1, r2 = tensors
     mx = state.mx + rho * rx
     my = state.my + rho * ry
     m1 = state.m1 + rho * r1
@@ -331,29 +323,22 @@ def _trace_stats(trace):
     return float(arr.max()), ratio
 
 
-def kkt_check(state, problem, psi, tau, eps, diagnostics=None, subgrad_tol=1e-4,
-              res=None, grad=None):
+def kkt_check(state, psi, tau, eps, res, grad, diagnostics):
     """First-order optimality report for a finished state.
 
     Checks (i) the four constraint residuals against 10*eps, (ii) the norm of
     the smooth gradient against 10*eps*tau, (iii) the Fourier singular-value
-    relation between each gradient multiplier and -psi'(sigma)/2, and (iv)
-    finiteness of the data-multiplier norm traces, with their final/median
-    growth ratios reported. ``res`` (the :func:`residuals` norms) and ``grad``
-    (``grad_a(state, problem)``) are those of ``state`` when the caller
-    already has them.
+    relation between each gradient multiplier and -psi'(sigma)/2 (to within
+    1e-4), and (iv) finiteness of the data-multiplier norm traces, with their
+    final/median growth ratios reported. ``res`` (the :func:`residuals`
+    norms) and ``grad`` (:func:`grad_a`) are those of ``state``;
+    ``diagnostics`` holds the run's multiplier norm traces.
     """
-    if res is None:
-        res = residuals(state, problem)
-    if grad is None:
-        grad = grad_a(state, problem)
     gnorm = float(np.linalg.norm(grad))
     dev1, kept1 = _subgradient_deviation(state.g1, state.m1, psi, 2)
     dev2, kept2 = _subgradient_deviation(state.g2, state.m2, psi, 1)
-    mx_trace = diagnostics.mx_norm if diagnostics is not None else []
-    my_trace = diagnostics.my_norm if diagnostics is not None else []
-    mx_max, mx_ratio = _trace_stats(mx_trace)
-    my_max, my_ratio = _trace_stats(my_trace)
+    mx_max, mx_ratio = _trace_stats(diagnostics.mx_norm)
+    my_max, my_ratio = _trace_stats(diagnostics.my_norm)
     # The theorem's hypothesis. Finite, non-overflowing traces gate the pass;
     # the final/median growth ratios are reported so a run can be judged
     # against the stricter plateau behaviour (< 10) that slow penalty
@@ -378,7 +363,7 @@ def kkt_check(state, problem, psi, tau, eps, diagnostics=None, subgrad_tol=1e-4,
         my_final_over_median=my_ratio,
         feasibility_ok=bool(res.max() <= 10.0 * eps),
         stationarity_ok=bool(gnorm <= 10.0 * eps * tau),
-        subgradient_ok=bool(max(dev1, dev2) <= subgrad_tol),
+        subgradient_ok=bool(max(dev1, dev2) <= 1e-4),
         multipliers_bounded=bool(bounded),
     )
 
@@ -405,8 +390,9 @@ def solve(x, y, p1, p2, p3, config):
     diag = Diagnostics(tau=tau, tau_mode=config.tau_mode, eps=eps,
                        eps_mode=config.eps_mode)
     state = initial_state(problem, config.rho0)
-    tensors = _residual_tensors(state, problem)
-    res = residuals(state, problem, tensors)
+    tensors = _residual_tensors(
+        state, problem, (difference(state.a, 1), difference(state.a, 2)))
+    res = residuals(tensors)
     grad = grad_a(state, problem, tensors)
     while res.max() > eps and state.iter < config.max_iter:
         t_start = time.perf_counter()
@@ -414,7 +400,7 @@ def solve(x, y, p1, p2, p3, config):
         # convert it into a typed error instead of a warning. A non-finite
         # g1 or g2 shows in the residual norms, a multiplier in its own norm.
         with np.errstate(over="ignore", invalid="ignore"):
-            state = step_a(state, problem, tau, grad)
+            state = step_a(state, tau, grad)
             if not np.isfinite(state.a).all():
                 raise DivergenceError(
                     f"iterate 'a' became non-finite at iteration {state.iter}"
@@ -422,12 +408,12 @@ def solve(x, y, p1, p2, p3, config):
             # the differences of the new a serve both proxes, the residuals
             # and the objective trace
             diffs = (difference(state.a, 1), difference(state.a, 2))
-            state = step_g(state, 1, psi, problem, diffs[0])
-            state = step_g(state, 2, psi, problem, diffs[1])
+            state = step_g(state, 1, psi, diffs[0])
+            state = step_g(state, 2, psi, diffs[1])
             rho_used = state.rho
             tensors = _residual_tensors(state, problem, diffs)
-            state = update_multipliers(state, problem, config.nu, tensors)
-            res = residuals(state, problem, tensors)
+            state = update_multipliers(state, config.nu, tensors)
+            res = residuals(tensors)
             # the gradient at the new state is also the next iteration's step
             # (or, after the last iteration, kkt_check's)
             grad = grad_a(state, problem, tensors)
@@ -452,6 +438,6 @@ def solve(x, y, p1, p2, p3, config):
         diag.wall_time.append(time.perf_counter() - t_start)
     diag.iterations = state.iter
     diag.converged = bool(res.max() <= eps)
-    diag.kkt = kkt_check(state, problem, psi, tau, eps, diag, res=res, grad=grad)
+    diag.kkt = kkt_check(state, psi, tau, eps, res, grad, diag)
     z_hat = mode_n_product(state.a, s, 3)
     return z_hat, diag

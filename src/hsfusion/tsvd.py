@@ -250,10 +250,10 @@ def ntpnn_prox(c, rho, psi):
     return _from_fourier_slices(slices @ gain, c.shape[2]).transpose(axes)
 
 
-def _subgradient_deviation(g, m, psi, n, rel_rank_tol=1e-8):
+def _subgradient_deviation(g, m, psi, n):
     """Max deviation of the multiplier's Fourier singular components from
     -psi'(sigma)/2 over the retained singular values of g (shuffled mode n),
-    and the retained count.
+    those above 1e-8 of the largest, and the retained count.
 
     With a slice C = QR, R = W S V^H and M the multiplier's slice, the
     components are u_i^H M v_i = [W^H (Q^H M) V]_ii. A wide pair is checked
@@ -270,6 +270,6 @@ def _subgradient_deviation(g, m, psi, n, rel_rank_tol=1e-8):
     mh = _fourier_slices(mode_shuffle(m, n).transpose(axes))
     wqm = w.conj().swapaxes(1, 2) @ (q.conj().swapaxes(1, 2) @ mh)
     comp = (wqm * vh.conj()).sum(axis=2)
-    keep = s > rel_rank_tol * sv_max
+    keep = s > 1e-8 * sv_max
     dev = np.abs(comp - (-0.5 * psi.deriv(s)))[keep].max(initial=0.0)
     return float(dev), int(keep[_mirror_index(g.shape[2])].sum())

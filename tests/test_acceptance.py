@@ -43,7 +43,14 @@ from hsfusion import (
     t_transpose,
     tnn,
 )
-from hsfusion.solver import FusionProblem, grad_a, initial_state, l1_objective
+from hsfusion.solver import (
+    FusionProblem,
+    _residual_tensors,
+    grad_a,
+    initial_state,
+    l1_objective,
+)
+from hsfusion.tensor import difference
 from hsfusion.tensorfile import read_tensor, write_tensor
 
 GAMMA = 0.1
@@ -156,6 +163,12 @@ def _random_problem_and_state(rng, big, small, r):
     return prob, state
 
 
+def _tensors(state, prob):
+    """The residual tensors of ``state``, from its own differences of a."""
+    diffs = (difference(state.a, 1), difference(state.a, 2))
+    return _residual_tensors(state, prob, diffs)
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(102)
     h = 1e-6
@@ -166,7 +179,7 @@ def test_gradient_matches_finite_differences():
         i3 = int(rng.integers(r, r + 4))
         small = (max(2, i1 // 2), max(2, i2 // 2), max(1, i3 // 2))
         prob, state = _random_problem_and_state(rng, (i1, i2, i3), small, r)
-        grad = grad_a(state, prob)
+        grad = grad_a(state, prob, _tensors(state, prob))
         fd = np.zeros_like(grad)
         base = state.a
         it = np.nditer(base, flags=["multi_index"])
@@ -201,9 +214,9 @@ def test_lipschitz_certificate():
         tau_paper = lipschitz_tau(prob.p1, prob.p2, prob.p3, prob.s, "paper")
         a1 = rng.standard_normal(state.a.shape)
         a2 = rng.standard_normal(state.a.shape)
-        lhs = np.linalg.norm(
-            grad_a(replace(state, a=a1), prob) - grad_a(replace(state, a=a2), prob)
-        )
+        s1, s2 = replace(state, a=a1), replace(state, a=a2)
+        lhs = np.linalg.norm(grad_a(s1, prob, _tensors(s1, prob))
+                             - grad_a(s2, prob, _tensors(s2, prob)))
         gap = np.linalg.norm(a1 - a2)
         if lhs > tau_safe * gap * (1 + 1e-12):
             safe_violations += 1

@@ -240,23 +240,34 @@ def _ssim_per_band(ref, est, peak, size=11, sigma=1.5):
     return float(np.mean(vals))
 
 
-# ssim filters up to 16 output rows at a time, and columns in tiles as wide
+# ssim filters up to 16 output rows at a time, and columns in tiles as wide;
+# (win_size, win_sigma) is the default window or a smaller or wider one
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     i1=st.integers(11, 60),
     i2=st.integers(11, 60),
     bands=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
+    window=st.sampled_from([(11, 1.5), (7, 1.0), (9, 2.0)]),
 )
-@example(i1=11, i2=11, bands=1, seed=0)  # one output pixel
-@example(i1=27, i2=60, bands=9, seed=1)  # a one-row last slab; a ragged last tile
-@example(i1=42, i2=42, bands=2, seed=2)  # two full slabs and tiles
-def test_ssim_matches_per_band_path(i1, i2, bands, seed):
+@example(i1=11, i2=11, bands=1, seed=0, window=(11, 1.5))  # one output pixel
+@example(i1=27, i2=60, bands=9, seed=1, window=(11, 1.5))  # a one-row last slab; a ragged last tile
+@example(i1=42, i2=42, bands=2, seed=2, window=(11, 1.5))  # two full slabs and tiles
+@example(i1=22, i2=13, bands=3, seed=3, window=(7, 1.0))  # exactly one slab of 16 rows
+def test_ssim_matches_per_band_path(i1, i2, bands, seed, window):
     rng = np.random.default_rng(seed)
     ref = rng.random((i1, i2, bands))
     est = np.clip(ref + rng.normal(0.0, 0.2, ref.shape), 0.0, None)
-    want = _ssim_per_band(ref, est, peak=1.0)
-    assert ssim(ref, est, peak=1.0) == pytest.approx(want, rel=1e-12)
+    size, sigma = window
+    want = _ssim_per_band(ref, est, peak=1.0, size=size, sigma=sigma)
+    got = ssim(ref, est, peak=1.0, win_size=size, win_sigma=sigma)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_ssim_rejects_an_even_window():
+    t = np.zeros((16, 16, 1))
+    with pytest.raises(ValueError, match="odd"):
+        ssim(t, t, 1.0, win_size=8)
 
 
 def test_ssim_matches_oracle_across_slab_edges():

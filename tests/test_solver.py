@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsfusion import (
+    Diagnostics,
     DimensionError,
     DivergenceError,
     LogSurrogate,
@@ -81,6 +82,12 @@ def _random_state(rng, problem, rho=0.8):
         m1=rng.standard_normal((i1 - 1, i2, r)),
         m2=rng.standard_normal((i1, i2 - 1, r)),
     )
+
+
+def _tensors(state, problem):
+    """The residual tensors of ``state``, from its own differences of a."""
+    diffs = (gradient_tensor(state.a, 1), gradient_tensor(state.a, 2))
+    return _residual_tensors(state, problem, diffs)
 
 
 # broad four-band table: nonempty on any coarse wavelength grid
@@ -211,7 +218,7 @@ def test_grad_zero_at_feasible_point_with_zero_multipliers():
         g1=gradient_tensor(a, 1),
         g2=gradient_tensor(a, 2),
     )
-    g = grad_a(state, feas)
+    g = grad_a(state, feas, _tensors(state, feas))
     assert np.abs(g).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
 
 
@@ -237,7 +244,7 @@ def test_grad_matches_central_finite_differences():
     rng = np.random.default_rng(6)
     prob = _random_problem(rng, big=(6, 5, 6), small=(3, 2, 3), r=3)
     state = _random_state(rng, prob)
-    got = grad_a(state, prob)
+    got = grad_a(state, prob, _tensors(state, prob))
     want = _fd_gradient(state, prob)
     rel = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert rel <= 1e-5
@@ -250,8 +257,8 @@ def test_grad_multiplier_scaling_is_linear():
     doubled = replace(
         state, mx=2 * state.mx, my=2 * state.my, m1=2 * state.m1, m2=2 * state.m2
     )
-    g1 = grad_a(state, prob)
-    g2 = grad_a(doubled, prob)
+    g1 = grad_a(state, prob, _tensors(state, prob))
+    g2 = grad_a(doubled, prob, _tensors(doubled, prob))
     rho = state.rho
     shift = -2.0 * (
         mode_n_product(
@@ -305,11 +312,8 @@ def _problem_and_state(draw):
 def test_grad_from_residuals_matches_gram_expression(case):
     prob, state = case
     want = _gram_gradient(state, prob)
-    got = grad_a(state, prob)
+    got = grad_a(state, prob, _tensors(state, prob))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    # the residual tensors a caller already holds give the same gradient
-    tensors = _residual_tensors(state, prob)
-    assert grad_a(state, prob, tensors).tobytes() == got.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -350,7 +354,7 @@ def test_step_a_zero_gradient_fixed_point():
         g1=gradient_tensor(a, 1),
         g2=gradient_tensor(a, 2),
     )
-    new = step_a(state, feas, tau=5.0)
+    new = step_a(state, 5.0, grad_a(state, feas, _tensors(state, feas)))
     assert np.allclose(new.a, a, atol=1e-12)
 
 
@@ -361,7 +365,8 @@ def test_step_a_descends_with_safe_tau():
         state = _random_state(rng, prob)
         tau = lipschitz_tau(prob.p1, prob.p2, prob.p3, prob.s, "safe")
         before = l1_objective(state, prob)
-        after = l1_objective(step_a(state, prob, tau), prob)
+        grad = grad_a(state, prob, _tensors(state, prob))
+        after = l1_objective(step_a(state, tau, grad), prob)
         assert after < before, f"trial {trial}"
 
 
@@ -369,8 +374,9 @@ def test_step_a_double_tau_halves_the_move():
     rng = np.random.default_rng(10)
     prob = _random_problem(rng)
     state = _random_state(rng, prob)
-    move1 = step_a(state, prob, 4.0).a - state.a
-    move2 = step_a(state, prob, 8.0).a - state.a
+    grad = grad_a(state, prob, _tensors(state, prob))
+    move1 = step_a(state, 4.0, grad).a - state.a
+    move2 = step_a(state, 8.0, grad).a - state.a
     assert np.allclose(move1, 2.0 * move2, rtol=1e-12)
 
 
@@ -387,7 +393,7 @@ def test_step_g_tracks_gradient_for_huge_rho():
     state = replace(_random_state(rng, prob), rho=1e9)
     state = replace(state, m1=np.zeros_like(state.m1), m2=np.zeros_like(state.m2))
     for n in (1, 2):
-        new = step_g(state, n, PSI, prob)
+        new = step_g(state, n, PSI, gradient_tensor(state.a, n))
         g = new.g1 if n == 1 else new.g2
         target = gradient_tensor(state.a, n)
         assert np.linalg.norm(g - target) / np.linalg.norm(target) <= 1e-4
@@ -398,7 +404,7 @@ def test_step_g_zero_target_gives_zero():
     prob = _random_problem(rng)
     state = initial_state(prob, 1.0)  # a = 0, m = 0 -> prox target 0
     for n in (1, 2):
-        new = step_g(state, n, PSI, prob)
+        new = step_g(state, n, PSI, gradient_tensor(state.a, n))
         assert not (new.g1 if n == 1 else new.g2).any()
 
 
@@ -407,7 +413,7 @@ def test_step_g_minimizes_subproblem():
     prob = _random_problem(rng, big=(5, 5, 4), small=(2, 3, 2), r=2)
     state = _random_state(rng, prob, rho=0.5)
     for n in (1, 2):
-        new = step_g(state, n, PSI, prob)
+        new = step_g(state, n, PSI, gradient_tensor(state.a, n))
         g_new = new.g1 if n == 1 else new.g2
         g_old = state.g1 if n == 1 else state.g2
         f_new = _g_subproblem_objective(g_new, n, state, prob, PSI)
@@ -434,7 +440,7 @@ def test_update_multipliers_feasible_point_only_grows_rho():
         g1=gradient_tensor(a, 1),
         g2=gradient_tensor(a, 2),
     )
-    new = update_multipliers(state, feas, nu=1.3)
+    new = update_multipliers(state, 1.3, _tensors(state, feas))
     assert np.allclose(new.mx, state.mx, atol=1e-12)
     assert np.allclose(new.my, state.my, atol=1e-12)
     assert new.rho == pytest.approx(0.7 * 1.3, rel=1e-15)
@@ -448,7 +454,7 @@ def test_update_multipliers_gains_rho_times_residual():
     res_x = prob.x - mode_n_product(
         mode_n_product(mode_n_product(state.a, prob.p1, 1), prob.p2, 2), prob.s, 3
     )
-    new = update_multipliers(state, prob, nu=1.05)
+    new = update_multipliers(state, 1.05, _tensors(state, prob))
     assert np.allclose(new.mx - state.mx, 2.5 * res_x, rtol=1e-12)
 
 
@@ -457,7 +463,7 @@ def test_rho_trajectory_is_geometric():
     prob = _random_problem(rng)
     state = initial_state(prob, 1e-3)
     for k in range(1, 8):
-        state = update_multipliers(state, prob, nu=1.05)
+        state = update_multipliers(state, 1.05, _tensors(state, prob))
         assert state.rho == pytest.approx(1e-3 * 1.05**k, rel=1e-14)
         assert state.iter == k
 
@@ -479,13 +485,14 @@ def test_residuals_zero_at_feasible_state():
         g1=gradient_tensor(a, 1),
         g2=gradient_tensor(a, 2),
     )
-    assert residuals(state, feas).max() <= 1e-12
+    assert residuals(_tensors(state, feas)).max() <= 1e-12
 
 
 def test_residuals_of_initial_zero_state():
     rng = np.random.default_rng(18)
     prob = _random_problem(rng)
-    res = residuals(initial_state(prob, 1.0), prob)
+    state = initial_state(prob, 1.0)
+    res = residuals(_tensors(state, prob))
     assert res[0] == pytest.approx(np.linalg.norm(prob.x), rel=1e-14)
     assert res[1] == pytest.approx(np.linalg.norm(prob.y), rel=1e-14)
     assert res[2] == 0.0 and res[3] == 0.0
@@ -503,8 +510,9 @@ def test_safe_tau_certifies_gradient_lipschitz():
     for trial in range(50):
         a1 = rng.standard_normal((i1, i2, r))
         a2 = rng.standard_normal((i1, i2, r))
-        g1 = grad_a(replace(state, a=a1), prob)
-        g2 = grad_a(replace(state, a=a2), prob)
+        s1, s2 = replace(state, a=a1), replace(state, a=a2)
+        g1 = grad_a(s1, prob, _tensors(s1, prob))
+        g2 = grad_a(s2, prob, _tensors(s2, prob))
         lhs = np.linalg.norm(g1 - g2)
         rhs = tau * np.linalg.norm(a1 - a2)
         assert lhs <= rhs * (1 + 1e-12), f"trial {trial}"
@@ -789,7 +797,9 @@ def test_kkt_zero_data_exact_point():
         s=prob.s,
     )
     state = initial_state(zero, 1.0)
-    rep = kkt_check(state, zero, PSI, tau=8.0, eps=1e-5)
+    tensors = _tensors(state, zero)
+    rep = kkt_check(state, PSI, 8.0, 1e-5, residuals(tensors), grad_a(state, zero, tensors),
+                    Diagnostics(tau=8.0, tau_mode="safe", eps=1e-5))
     assert rep.passed
     assert rep.grad_norm == 0.0
     assert rep.subgrad_dev_g1 == 0.0 and rep.subgrad_dev_g2 == 0.0
@@ -809,32 +819,20 @@ def test_kkt_on_converged_small_run():
 
 @pytest.mark.parametrize("eps, iterations", [(1e-5, 5), (1e6, 0)])  # loop runs / never runs
 def test_kkt_check_reuses_final_residuals_and_gradient(monkeypatch, eps, iterations):
-    checks, grads = [], []
+    checks = []
     check = solver_module.kkt_check
-    gradient = solver_module.grad_a
 
     def recording_check(*args, **kwargs):
         checks.append((args, kwargs))
         return check(*args, **kwargs)
 
-    def counting_gradient(*args, **kwargs):
-        tensors = args[2] if len(args) > 2 else kwargs.get("tensors")
-        grads.append(tensors is not None)
-        return gradient(*args, **kwargs)
-
     monkeypatch.setattr(solver_module, "kkt_check", recording_check)
-    monkeypatch.setattr(solver_module, "grad_a", counting_gradient)
     _, deg, x, y = _small_instance()
     _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=5, eps=eps))
     assert diag.iterations == iterations
-    # the initial state's gradient, then one per iteration, which the next
-    # step and kkt_check reuse; every one reuses the residual tensors that
-    # solve already holds
-    assert grads == [True] * (iterations + 1)
+    # one check, on the final residuals and gradient that solve hands it
     ((args, kwargs),) = checks
-    assert kwargs["res"] is not None
-    assert kwargs["grad"] is not None
-    assert check(*args).to_dict() == diag.kkt.to_dict()
+    assert check(*args, **kwargs).to_dict() == diag.kkt.to_dict()
 
 
 def test_multiplier_trace_plateaus_under_slow_penalty_growth():
