@@ -33,8 +33,7 @@ _EXPORTS = {
     ),
     "regularizer": (
         "RankSandwichReport", "TvSandwichReport", "check_rank_sandwich",
-        "check_tv_sandwich", "gradient_tensor", "mode_tsvd_rank", "nms_tctv", "tctv",
-        "tsvd_rank",
+        "check_tv_sandwich", "gradient_tensor", "nms_tctv", "tctv", "tsvd_rank",
     ),
     "solver": (
         "Diagnostics", "FusionProblem", "KKTReport", "SolverState", "extract_subspace",
@@ -47,8 +46,7 @@ _EXPORTS = {
     ),
     "tensorfile": ("load_cube", "read_envi", "read_tensor", "write_tensor"),
     "tsvd": (
-        "LogSurrogate", "TSvdFactors", "identity_tensor", "mode_ntpnn", "ntpnn",
-        "ntpnn_prox", "scalar_prox", "t_product", "t_svd", "t_transpose", "tnn",
+        "LogSurrogate", "TSvdFactors", "identity_tensor", "ntpnn", "ntpnn_prox", "scalar_prox", "t_product", "t_svd", "t_transpose", "tnn",
     ),
 }
 

@@ -126,15 +126,43 @@ def _cmd_eval(args):
     return 0
 
 
+# the per-iteration traces diagnose writes as CSV columns, and the KKT fields
+# its PASS line prints
+_TRACES = ("res_x", "res_y", "res_g1", "res_g2", "rho", "objective")
+_PASS_FIELDS = ("residual_x", "residual_y", "residual_g1", "residual_g2", "grad_norm",
+                "subgrad_dev_g1", "subgrad_dev_g2")
+
+
+def _report_fault(report, csv):
+    """What keeps ``diagnose`` from reading ``report``, or None: every key,
+    number and trace length it reads (the traces only with ``csv``)."""
+    if not isinstance(report, dict) or not isinstance(report.get("kkt") or {}, dict):
+        return "not a JSON object with a 'kkt' object"
+    traces = _TRACES if csv else _TRACES[:4]
+    missing = [key for key in ("converged", "iterations", *traces) if key not in report]
+    kkt = report.get("kkt") or {}
+    if report.get("converged") and kkt.get("passed"):
+        missing += [f"kkt.{key}" for key in _PASS_FIELDS
+                    if not isinstance(kkt.get(key), (int, float))]
+    if missing:
+        return f"no usable {missing[0]!r}"
+    for key in traces if csv else ():
+        trace = report[key]
+        if not (isinstance(trace, list) and len(trace) == report["iterations"]
+                and all(isinstance(v, (int, float)) for v in trace)):
+            return f"{key!r} does not hold one number per iteration"
+    return None
+
+
 def _cmd_diagnose(args):
     with open(args.report, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed report {args.report}: {exc}") from exc
-    for key in ("converged", "iterations", "res_x", "res_y", "res_g1", "res_g2"):
-        if key not in report:
-            raise ValueError(f"malformed report {args.report}: missing {key!r}")
+    fault = _report_fault(report, args.csv)
+    if fault:
+        raise ValueError(f"malformed report {args.report}: {fault}")
     iters = report["iterations"]
     kkt = report.get("kkt") or {}
     print(
@@ -146,12 +174,7 @@ def _cmd_diagnose(args):
     elif kkt.get("passed"):
         print(
             "KKT: PASS (max residual {:.3e}, grad {:.3e}, subgrad dev {:.3e})".format(
-                max(
-                    kkt["residual_x"],
-                    kkt["residual_y"],
-                    kkt["residual_g1"],
-                    kkt["residual_g2"],
-                ),
+                max(kkt[key] for key in _PASS_FIELDS[:4]),
                 kkt["grad_norm"],
                 max(kkt["subgrad_dev_g1"], kkt["subgrad_dev_g2"]),
             )
@@ -161,22 +184,10 @@ def _cmd_diagnose(args):
         failed = [key.removesuffix("_ok") for key in checks if not kkt.get(key)]
         print(f"KKT: FAIL ({', '.join(failed)})")
     if args.csv:
-        rows = zip(
-            range(1, iters + 1),
-            report["res_x"],
-            report["res_y"],
-            report["res_g1"],
-            report["res_g2"],
-            report["rho"],
-            report["objective"],
-        )
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("iter,res_x,res_y,res_g1,res_g2,rho,objective\n")
-            for it, rx, ry, r1, r2, rho, obj in rows:
-                fh.write(
-                    f"{it},{rx:.17g},{ry:.17g},{r1:.17g},{r2:.17g},"
-                    f"{rho:.17g},{obj:.17g}\n"
-                )
+            fh.write(",".join(("iter", *_TRACES)) + "\n")
+            for it, row in enumerate(zip(*(report[key] for key in _TRACES)), start=1):
+                fh.write(f"{it}," + ",".join(f"{v:.17g}" for v in row) + "\n")
         print(f"diagnose: wrote {iters} rows to {args.csv}")
     return 0
 

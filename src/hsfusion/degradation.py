@@ -12,7 +12,7 @@ Landsat-7 six-band table is exact; the four-band "ikonos" table is a
 rectangular approximation (the reference response is not public here).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,12 +98,11 @@ def build_spectral_response(bands, wavelengths):
 
 @dataclass(frozen=True)
 class DegradationSet:
-    """The three operator matrices plus their construction metadata."""
+    """The three operator matrices."""
 
     p1: np.ndarray
     p2: np.ndarray
     p3: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.p1.shape[0] >= self.p1.shape[1]:
@@ -119,31 +118,15 @@ class DegradationSet:
             raise ValueError("P3 rows must each sum to 1")
 
 
-def make_degradation(shape, factor, kernel_size, sigma, bands, wavelengths=None):
-    """Build the full operator set for a (I1, I2, I3) cube."""
+def make_degradation(shape, factor, kernel_size, sigma, bands):
+    """Build the full operator set for a (I1, I2, I3) cube, its bands on the
+    default wavelength grid."""
     i1, i2, i3 = shape
     kernel = gaussian_kernel_1d(kernel_size, sigma)
-    if wavelengths is None:
-        wavelengths = default_wavelengths(i3)
-    else:
-        wavelengths = np.asarray(wavelengths, dtype=float)
-        if wavelengths.size != i3:
-            raise DimensionError(
-                f"wavelength grid has {wavelengths.size} samples for {i3} bands"
-            )
-    bands = tuple(tuple(map(float, b)) for b in bands)
-    meta = {
-        "kernel_size": int(kernel_size),
-        "sigma": float(sigma),
-        "factor": int(factor),
-        "boundary": "circular",
-        "bands": bands,
-    }
     return DegradationSet(
         p1=build_spatial_degradation(i1, factor, kernel),
         p2=build_spatial_degradation(i2, factor, kernel),
-        p3=build_spectral_response(bands, wavelengths),
-        meta=meta,
+        p3=build_spectral_response(bands, default_wavelengths(i3)),
     )
 
 

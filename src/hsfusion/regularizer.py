@@ -3,7 +3,9 @@
 ``nms_tctv`` is the regularizer the solver minimizes: for each spatial mode n
 it measures the mode-(3-n) non-convex pseudo nuclear norm of the mode-n
 gradient tensor, so low-rankness and smoothness are encoded jointly and
-cross-mode ("mode-shuffled").
+cross-mode ("mode-shuffled"). That pairing is written here only, as
+``_to_norm_layout`` (``mode_shuffle(t, 3 - n)``) and its inverse
+``_from_norm_layout``; the solver's g_n prox and KKT check use them too.
 """
 
 from dataclasses import dataclass
@@ -15,9 +17,21 @@ from .tensor import (
     difference,
     mode_n_product,
     mode_shuffle,
+    mode_unshuffle,
     tv_norm,
 )
-from .tsvd import _fourier_singular_values, mode_ntpnn, tnn
+from .tsvd import _fourier_singular_values, tnn
+
+
+def _to_norm_layout(t, n):
+    """t, shaped like the mode-n gradient, in the layout its NTPNN reads:
+    mode 3 - n rotated into the tube position."""
+    return mode_shuffle(t, 3 - n)
+
+
+def _from_norm_layout(t, n):
+    """Exact inverse of :func:`_to_norm_layout` with the same n."""
+    return mode_unshuffle(t, 3 - n)
 
 
 def gradient_tensor(a, n):
@@ -45,7 +59,15 @@ def nms_tctv(a, psi, grads=None):
     """
     if grads is None:
         grads = (gradient_tensor(a, 1), gradient_tensor(a, 2))
-    return 0.5 * (mode_ntpnn(grads[0], 2, psi) + mode_ntpnn(grads[1], 1, psi))
+    return _nms_parts(grads, psi)[0]
+
+
+def _nms_parts(grads, psi):
+    """nms_tctv of the mode-1 and mode-2 gradient tensors ``grads``, and the
+    Fourier singular values of each in its NTPNN's layout."""
+    svs = [_fourier_singular_values(_to_norm_layout(g, n)) for n, g in enumerate(grads, 1)]
+    ntpnn1, ntpnn2 = (float(psi.value(sv).sum() / len(sv)) for sv in svs)
+    return 0.5 * (ntpnn1 + ntpnn2), svs
 
 
 def tsvd_rank(t, rel_tol=1e-8):
@@ -56,11 +78,6 @@ def tsvd_rank(t, rel_tol=1e-8):
     if smax == 0.0:
         return 0
     return int((sv > rel_tol * smax).sum(axis=1).max())
-
-
-def mode_tsvd_rank(t, n, rel_tol=1e-8):
-    """t-SVD rank after rotating mode n into the tube position."""
-    return tsvd_rank(mode_shuffle(t, n), rel_tol)
 
 
 @dataclass(frozen=True)
@@ -95,8 +112,8 @@ def check_rank_sandwich(z, s, n, tol=1e-8):
     grad = gradient_tensor(a, n)
     return RankSandwichReport(
         mode=n,
-        rank_z=mode_tsvd_rank(z, 3 - n, tol),
-        rank_grad=mode_tsvd_rank(grad, 3 - n, tol),
+        rank_z=tsvd_rank(_to_norm_layout(z, n), tol),
+        rank_grad=tsvd_rank(_to_norm_layout(grad, n), tol),
     )
 
 
@@ -138,11 +155,7 @@ def check_tv_sandwich(a, psi, rel_slack=1e-10):
     boundedness/limit-slope constants; returns a report with both chains."""
     a = np.asarray(a, dtype=float)
     i1, i2, r = a.shape
-    sv1 = _fourier_singular_values(mode_shuffle(gradient_tensor(a, 1), 2))
-    sv2 = _fourier_singular_values(mode_shuffle(gradient_tensor(a, 2), 1))
-    nms = 0.5 * float(
-        psi.value(sv1).sum() / i2 + psi.value(sv2).sum() / i1
-    )
+    nms, (sv1, sv2) = _nms_parts((gradient_tensor(a, 1), gradient_tensor(a, 2)), psi)
     tv = tv_norm(a)
     atv = atv_norm(a)
     x_max = max(sv1.max(initial=0.0), sv2.max(initial=0.0))

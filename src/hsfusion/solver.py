@@ -22,13 +22,11 @@ import numpy as np
 
 from .config import TAU_MODES, SolverConfig  # noqa: F401 (SolverConfig re-exported)
 from .errors import DimensionError, DivergenceError
-from .regularizer import nms_tctv
+from .regularizer import _from_norm_layout, _to_norm_layout, nms_tctv
 from .tensor import (
     difference,
     difference_adjoint,
     mode_n_product,
-    mode_shuffle,
-    mode_unshuffle,
     require_finite,
     unfold,
 )
@@ -272,8 +270,8 @@ def step_g(state, n, psi, diff):
     m = state.m1 if n == 1 else state.m2
     # the target is not kept past its shuffled copy: with the caller's
     # differences live, that keeps the prox's peak memory down
-    shrunk = ntpnn_prox(mode_shuffle(diff - m / state.rho, 3 - n), state.rho, psi)
-    g_new = mode_unshuffle(shrunk, 3 - n)
+    shrunk = ntpnn_prox(_to_norm_layout(diff - m / state.rho, n), state.rho, psi)
+    g_new = _from_norm_layout(shrunk, n)
     if n == 1:
         return replace(state, g1=g_new)
     return replace(state, g2=g_new)
@@ -335,8 +333,10 @@ def kkt_check(state, psi, tau, eps, res, grad, diagnostics):
     ``diagnostics`` holds the run's multiplier norm traces.
     """
     gnorm = float(np.linalg.norm(grad))
-    dev1, kept1 = _subgradient_deviation(state.g1, state.m1, psi, 2)
-    dev2, kept2 = _subgradient_deviation(state.g2, state.m2, psi, 1)
+    dev1, kept1 = _subgradient_deviation(
+        _to_norm_layout(state.g1, 1), _to_norm_layout(state.m1, 1), psi)
+    dev2, kept2 = _subgradient_deviation(
+        _to_norm_layout(state.g2, 2), _to_norm_layout(state.m2, 2), psi)
     mx_max, mx_ratio = _trace_stats(diagnostics.mx_norm)
     my_max, my_ratio = _trace_stats(diagnostics.my_norm)
     # The theorem's hypothesis. Finite, non-overflowing traces gate the pass;

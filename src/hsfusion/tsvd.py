@@ -1,12 +1,13 @@
 """t-product algebra: t-SVD, tensor nuclear norms, non-convex variants, prox operators.
 
-Everything here works slice-wise in the mode-3 Fourier domain. For real input
-only the first floor(I3/2)+1 Fourier slices are computed (rfft along the
-tubes) and factorized, in one batched call; the remaining slices are their
-conjugates, which the inverse rfft supplies, so assembled tensors are exactly
-real and the factorization work is halved. Fourier slices 0 and Nyquist of a
-real tensor have zero imaginary part, and the inverse rfft reads only their
-real part.
+Every kernel here takes tube-last tensors, whose tubes run along mode 3, and
+works slice-wise in the mode-3 Fourier domain; ``regularizer`` owns the mode
+shuffle that puts a spatial mode there. For real input only the first
+floor(I3/2)+1 Fourier slices are computed (rfft along the tubes) and
+factorized, in one batched call; the remaining slices are their conjugates,
+which the inverse rfft supplies, so assembled tensors are exactly real and the
+factorization work is halved. Fourier slices 0 and Nyquist of a real tensor
+have zero imaginary part, and the inverse rfft reads only their real part.
 
 The slices the solver factorizes are tall and thin, (I_n - 1) x R; wide ones
 (I_n = 2) are factored through the transposed tensor. The prox, the norms and
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FactorizationError
-from .tensor import mode_shuffle
 
 
 @dataclass(frozen=True)
@@ -185,11 +185,6 @@ def ntpnn(t, psi):
     return float(psi.value(_fourier_singular_values(t)).sum() / t.shape[2])
 
 
-def mode_ntpnn(t, n, psi):
-    """NTPNN evaluated after rotating mode n into the tube position."""
-    return ntpnn(mode_shuffle(t, n), psi)
-
-
 def prox_singular_values(sig, rho, psi):
     """Elementwise global minimizer of psi(x) + rho*(x - sig)^2 over x >= 0.
 
@@ -235,8 +230,7 @@ def ntpnn_prox(c, rho, psi):
 
     Shrinks each Fourier-domain singular value with the scalar prox. With
     C = U S V^H a slice, its prox U S' V^H is C V diag(s'/s) V^H, exactly,
-    since s' <= s and s' = 0 where s = 0; so only s and V are computed. Any
-    mode shuffling is the caller's responsibility.
+    since s' <= s and s' = 0 where s = 0; so only s and V are computed.
     """
     c = np.asarray(c, dtype=float)
     if not rho > 0:
@@ -250,10 +244,10 @@ def ntpnn_prox(c, rho, psi):
     return _from_fourier_slices(slices @ gain, c.shape[2]).transpose(axes)
 
 
-def _subgradient_deviation(g, m, psi, n):
-    """Max deviation of the multiplier's Fourier singular components from
-    -psi'(sigma)/2 over the retained singular values of g (shuffled mode n),
-    those above 1e-8 of the largest, and the retained count.
+def _subgradient_deviation(g, m, psi):
+    """Max deviation of the multiplier m's Fourier singular components from
+    -psi'(sigma)/2 over the retained singular values of g, those above 1e-8
+    of the largest, and the retained count.
 
     With a slice C = QR, R = W S V^H and M the multiplier's slice, the
     components are u_i^H M v_i = [W^H (Q^H M) V]_ii. A wide pair is checked
@@ -261,13 +255,12 @@ def _subgradient_deviation(g, m, psi, n):
     retained count is over all I3 Fourier slices; the deviation of a mirrored
     slice equals that of its stored conjugate.
     """
-    g = mode_shuffle(g, n)
     axes = _tall_axes(g)
     q, w, s, vh = _thin_slice_svd(_fourier_slices(g.transpose(axes)), left=True)
     sv_max = float(s.max(initial=0.0))
     if sv_max == 0.0:
         return 0.0, 0
-    mh = _fourier_slices(mode_shuffle(m, n).transpose(axes))
+    mh = _fourier_slices(m.transpose(axes))
     wqm = w.conj().swapaxes(1, 2) @ (q.conj().swapaxes(1, 2) @ mh)
     comp = (wqm * vh.conj()).sum(axis=2)
     keep = s > 1e-8 * sv_max

@@ -398,6 +398,61 @@ def test_diagnose_names_failed_kkt_checks(tmp_path, capsys):
     assert "KKT: FAIL (feasibility, subgradient)\n" in out
 
 
+def _report(iterations, converged=True, kkt=None):
+    """A hand-written fuse report with every key diagnose reads."""
+    trace = [0.5] * iterations
+    return {
+        "converged": converged,
+        "iterations": iterations,
+        "tau": 8.0,
+        "tau_mode": "safe",
+        **{key: list(trace) for key in
+           ("res_x", "res_y", "res_g1", "res_g2", "rho", "objective")},
+        "kkt": kkt,
+    }
+
+
+def _diagnose_fails(capsys, tmp_path, report, *flags):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(report))
+    code, out, err = _run(capsys, "diagnose", "--report", str(path), *flags)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: malformed report {path}: ")
+    assert "\n" not in err.strip()
+    return err
+
+
+@pytest.mark.parametrize("key", ["rho", "objective"])
+def test_diagnose_csv_rejects_a_report_without_a_trace(tmp_path, capsys, key):
+    report = _report(2)
+    del report[key]
+    csv_path = tmp_path / "curves.csv"
+    err = _diagnose_fails(capsys, tmp_path, report, "--csv", str(csv_path))
+    assert repr(key) in err and not csv_path.exists()
+
+
+@pytest.mark.parametrize("key", ["residual_g2", "grad_norm", "subgrad_dev_g1"])
+def test_diagnose_pass_line_rejects_a_kkt_without_its_fields(tmp_path, capsys, key):
+    fields = ("residual_x", "residual_y", "residual_g1", "residual_g2", "grad_norm",
+              "subgrad_dev_g1", "subgrad_dev_g2")
+    kkt = {"passed": True, **{name: 1e-9 for name in fields}}
+    del kkt[key]
+    err = _diagnose_fails(capsys, tmp_path, _report(1, kkt=kkt))
+    assert f"'kkt.{key}'" in err
+    kkt[key] = None
+    err = _diagnose_fails(capsys, tmp_path, _report(1, kkt=kkt))
+    assert f"'kkt.{key}'" in err
+
+
+@pytest.mark.parametrize("spoil", [list.pop, lambda trace: trace.__setitem__(0, None)])
+def test_diagnose_csv_rejects_traces_without_one_number_per_iteration(tmp_path, capsys, spoil):
+    report = _report(3, converged=False)
+    spoil(report["res_g1"])
+    csv_path = tmp_path / "curves.csv"
+    err = _diagnose_fails(capsys, tmp_path, report, "--csv", str(csv_path))
+    assert "'res_g1'" in err and not csv_path.exists()
+
+
 def test_diagnose_malformed_report(tmp_path, capsys):
     path = tmp_path / "rep.json"
     path.write_text("{not json")

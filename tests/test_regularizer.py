@@ -178,6 +178,13 @@ def test_tv_sandwich_random_tensors():
         assert rep.holds, f"trial {trial}: {rep}"
 
 
+@pytest.mark.parametrize("shape", [(5, 7, 3), (6, 4, 2), (2, 5, 3), (6, 2, 4), (2, 2, 1)])
+def test_tv_sandwich_reports_nms_tctv_exactly(shape):
+    # odd and even sides, and I_n = 2 on either spatial mode
+    a = np.random.default_rng(14).standard_normal(shape)
+    assert check_tv_sandwich(a, PSI).nms == nms_tctv(a, PSI)
+
+
 @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
 def test_tv_sandwich_scale_sweep(alpha):
     rng = np.random.default_rng(13)

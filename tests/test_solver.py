@@ -21,9 +21,9 @@ from hsfusion import (
     lipschitz_tau,
     make_degradation,
     mode_n_product,
-    mode_ntpnn,
     mode_shuffle,
     mode_unshuffle,
+    ntpnn,
     operator_norm,
     psnr,
     simulate,
@@ -384,7 +384,7 @@ def _g_subproblem_objective(g, n, state, problem, psi):
     d = diff_matrix(state.a.shape[n - 1])
     m = state.m1 if n == 1 else state.m2
     misfit = g + m / state.rho - mode_n_product(state.a, d, n)
-    return mode_ntpnn(g, 3 - n, psi) + state.rho * np.linalg.norm(misfit) ** 2
+    return ntpnn(mode_shuffle(g, 3 - n), psi) + state.rho * np.linalg.norm(misfit) ** 2
 
 
 def test_step_g_tracks_gradient_for_huge_rho():
@@ -744,9 +744,10 @@ def test_solve_on_edge_shapes_is_finite_and_repeatable(i1, i2, i3, j1, j2, j3, r
 
 
 def _subgradient_deviation_slice_loop(g, m, psi, n, rel_rank_tol=1e-8):
-    """_subgradient_deviation as a loop over all I3 slices of the full FFT."""
-    gh = np.fft.fft(mode_shuffle(g, n), axis=2)
-    mh = np.fft.fft(mode_shuffle(m, n), axis=2)
+    """_subgradient_deviation of the mode-n gradient g and its multiplier m, as
+    a loop over all slices of the full FFT of their mode-(3-n) shuffles."""
+    gh = np.fft.fft(mode_shuffle(g, 3 - n), axis=2)
+    mh = np.fft.fft(mode_shuffle(m, 3 - n), axis=2)
     svds = [np.linalg.svd(gh[:, :, f], full_matrices=False) for f in range(gh.shape[2])]
     sv_max = max(float(s[0]) for _, s, _ in svds)
     dev, retained = 0.0, 0
@@ -771,16 +772,17 @@ def _subgradient_deviation_slice_loop(g, m, psi, n, rel_rank_tol=1e-8):
 @example(rows=1, cols=5, rank=1, n=1, seed=0)  # wide: I_n = 2, R = 5
 @example(rows=6, cols=5, rank=3, n=2, seed=1)  # tall, rank 3 of 5
 def test_subgradient_deviation_matches_slice_loop(tubes, rows, cols, rank, n, seed):
-    # after the shuffle, g is a t-product of two thin tensors, of rank
-    # min(rank, rows, cols) per slice; tall and wide slices alike
+    # the tube-last g is a t-product of two thin tensors, of rank
+    # min(rank, rows, cols) per slice; tall and wide slices alike. The oracle
+    # reads it as the mode-n gradient it is the shuffle of.
     rng = np.random.default_rng(seed)
     rank = min(rank, rows, cols)
-    low = t_product(rng.standard_normal((rows, rank, tubes)),
-                    rng.standard_normal((rank, cols, tubes)))
-    g = mode_unshuffle(low, n)
-    m = mode_unshuffle(rng.standard_normal(low.shape), n)
-    dev, kept = _subgradient_deviation(g, m, PSI, n)
-    want_dev, want_kept = _subgradient_deviation_slice_loop(g, m, PSI, n)
+    g = t_product(rng.standard_normal((rows, rank, tubes)),
+                  rng.standard_normal((rank, cols, tubes)))
+    m = rng.standard_normal(g.shape)
+    dev, kept = _subgradient_deviation(g, m, PSI)
+    want_dev, want_kept = _subgradient_deviation_slice_loop(
+        mode_unshuffle(g, 3 - n), mode_unshuffle(m, 3 - n), PSI, n)
     assert kept == want_kept
     assert dev == pytest.approx(want_dev, rel=1e-12)
 

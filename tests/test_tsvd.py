@@ -12,7 +12,6 @@ from hsfusion import (
     SolverConfig,
     identity_tensor,
     make_degradation,
-    mode_ntpnn,
     mode_shuffle,
     mode_unshuffle,
     ntpnn,
@@ -245,15 +244,6 @@ def test_ntpnn_limit_slope_bound():
         assert ntpnn(t, PSI) <= PSI.deriv_at_zero * tnn(t) + 1e-10
 
 
-def test_mode_ntpnn_is_shuffled_ntpnn():
-    rng = np.random.default_rng(10)
-    t = rng.standard_normal((4, 5, 3))
-    for n in (1, 2):
-        assert mode_ntpnn(t, n, PSI) == pytest.approx(
-            ntpnn(mode_shuffle(t, n), PSI), rel=1e-14
-        )
-
-
 def _grid_prox_oracle(s, rho, psi, step=1e-5):
     grid = np.arange(0.0, s + 1.0 + step, step)
     obj = psi.value(grid) + rho * (grid - s) ** 2
@@ -413,14 +403,15 @@ def _svd_prox(c, rho, psi):
 
 
 def _subgradient_deviation_full_svd(g, m, psi, n, rel_rank_tol=1e-8):
-    """_subgradient_deviation through a thin SVD of each stored Fourier slice,
-    wide ones included, U formed."""
-    g = mode_shuffle(g, n)
+    """_subgradient_deviation of the mode-n gradient g and its multiplier m
+    through a thin SVD of each stored Fourier slice of their mode-(3-n)
+    shuffles, wide ones included, U formed."""
+    g = mode_shuffle(g, 3 - n)
     u, s, vh = np.linalg.svd(_fourier_slices(g), full_matrices=False)
     sv_max = float(s.max(initial=0.0))
     if sv_max == 0.0:
         return 0.0, 0
-    mh = _fourier_slices(mode_shuffle(m, n))
+    mh = _fourier_slices(mode_shuffle(m, 3 - n))
     comp = ((u.conj().swapaxes(1, 2) @ mh) * vh.conj()).sum(axis=2)
     keep = s > rel_rank_tol * sv_max
     dev = np.abs(comp - (-0.5 * psi.deriv(s)))[keep].max(initial=0.0)
@@ -456,10 +447,13 @@ def test_subgradient_deviation_is_as_accurate_as_full_svd_on_graded_spectra(log_
         t = -0.5 * PSI.deriv(sigma) - np.einsum("ij,ik,kj->j", u, r, v)
         g, m = (u * sigma) @ v.T, r + (u * t) @ v.T
         for pair in ((g, m), (g.T, m.T)):  # tall and wide
-            g3, m3 = (mode_unshuffle(a[:, :, None], 2) for a in pair)
-            for route, check in (("qr", _subgradient_deviation),
-                                 ("svd", _subgradient_deviation_full_svd)):
-                dev, kept = check(g3, m3, PSI, 2)
+            g3, m3 = (a[:, :, None] for a in pair)
+            # the oracle reads the pair as a mode-1 gradient and its multiplier
+            g1, m1 = (mode_unshuffle(a, 2) for a in (g3, m3))
+            for route, (dev, kept) in (
+                ("qr", _subgradient_deviation(g3, m3, PSI)),
+                ("svd", _subgradient_deviation_full_svd(g1, m1, PSI, 1)),
+            ):
                 assert kept == k
                 errors[route].append(dev)
     assert max(errors["qr"]) <= (1.0 + 1e-3) * max(errors["svd"])
@@ -479,8 +473,8 @@ def test_prox_matches_svd_prox_on_late_iterations(monkeypatch):
             inputs.append((c.copy(), rho))
         return prox(c, rho, psi)
 
-    def recording_check(g, m, psi, n):
-        checks.append(((g, m, psi, n), check(g, m, psi, n)))
+    def recording_check(g, m, psi):
+        checks.append(((g, m, psi), check(g, m, psi)))
         return checks[-1][1]
 
     monkeypatch.setattr(solver_module, "ntpnn_prox", recording_prox)
@@ -495,8 +489,10 @@ def test_prox_matches_svd_prox_on_late_iterations(monkeypatch):
         want = _svd_prox(c, rho, PSI)
         assert np.linalg.norm(ntpnn_prox(c, rho, PSI) - want) <= 1e-12 * np.linalg.norm(want)
     assert [kept for _, (_, kept) in checks] == [156, 165]
-    for args, (dev, kept) in checks:
-        want_dev, want_kept = _subgradient_deviation_full_svd(*args)
+    # kkt_check checks g1 then g2, each in its NTPNN's layout
+    for n, ((g, m, psi), (dev, kept)) in enumerate(checks, start=1):
+        want_dev, want_kept = _subgradient_deviation_full_svd(
+            mode_unshuffle(g, 3 - n), mode_unshuffle(m, 3 - n), psi, n)
         assert kept == want_kept
         assert abs(dev - want_dev) <= 1e-15
 
