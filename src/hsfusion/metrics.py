@@ -4,7 +4,7 @@ Conventions (they matter when comparing against published tables):
 
 * PSNR is computed per band and averaged; zero-error bands contribute a
   finite cap (default 100 dB). A whole-cube variant is available via
-  ``per_band=False``.
+  ``per_band=False``; its MSE is the mean of the per-band MSEs.
 * ERGAS uses the spatial resolution ratio directly (100/ratio * ...);
   zero-mean reference bands are excluded with a warning.
 * SAM is the mean per-pixel spectral angle in degrees; pixels whose
@@ -12,6 +12,10 @@ Conventions (they matter when comparing against published tables):
 * SSIM is single-scale with an 11x11 Gaussian window (sigma 1.5) and the
   standard constants C1=(0.01 peak)^2, C2=(0.03 peak)^2, computed on the
   valid interior and averaged over bands.
+
+PSNR and ERGAS share the per-band squared-error sums, which are streamed in
+slabs of 16 rows (``_SLAB_ROWS``) like SSIM's filtering, so ``evaluate``
+holds no temporary larger than SSIM's slab buffers.
 """
 
 import warnings
@@ -24,7 +28,7 @@ from .errors import DimensionError, MetricUndefinedError
 from .tensor import mode_n_product
 
 PSNR_CAP_DB = 100.0
-# output rows that ssim filters at a time
+# rows that the squared-error sums read, and output rows that ssim filters, at a time
 _SLAB_ROWS = 16
 
 
@@ -50,9 +54,25 @@ def _check_same_shape(ref, est):
 
 
 def _band_mse(ref, est):
-    err2 = ref - est
-    err2 *= err2
-    return err2.mean(axis=(0, 1))
+    """Per-band mean squared error, read in slabs of rows.
+
+    Row 0 of the buffer carries the running per-band sum into each slab's
+    reduction, so the sum runs pixel by pixel as in
+    ``((ref - est) ** 2).mean(axis=(0, 1))``, with the same bits for two or
+    more bands (numpy sums a single band's contiguous column pairwise).
+    """
+    i1, i2, bands = ref.shape
+    buf = np.zeros((min(_SLAB_ROWS, i1) * i2 + 1, bands))
+    total = np.zeros(bands)
+    for r in range(0, i1, _SLAB_ROWS):
+        n = min(_SLAB_ROWS, i1 - r) * i2
+        err2 = buf[1 : n + 1]
+        rows = slice(r, r + _SLAB_ROWS)
+        np.subtract(ref[rows].reshape(n, bands), est[rows].reshape(n, bands), out=err2)
+        err2 *= err2
+        np.sum(buf[: n + 1], axis=0, out=total)
+        buf[0] = total
+    return total / (i1 * i2)
 
 
 def _psnr(mse, peak, cap):
@@ -67,7 +87,9 @@ def _psnr(mse, peak, cap):
 def psnr(ref, est, peak, cap=PSNR_CAP_DB, per_band=True):
     """Peak signal-to-noise ratio in dB (per-band average by default)."""
     ref, est = _check_same_shape(ref, est)
-    mse = _band_mse(ref, est) if per_band else np.array([np.mean((ref - est) ** 2)])
+    mse = _band_mse(ref, est)
+    if not per_band:
+        mse = mse.mean(keepdims=True)
     return _psnr(mse, peak, cap)
 
 

@@ -186,11 +186,14 @@ def ntpnn(t, psi):
 
 
 def prox_singular_values(sig, rho, psi):
-    """Elementwise global minimizer of psi(x) + rho*(x - sig)^2 over x >= 0.
+    """Elementwise global minimizer of f(x) = psi(x) + rho*(x - sig)^2 over x >= 0.
 
-    For the log surrogate the stationary points solve
-    2*rho*gamma*x^2 + 2*rho*(1 - gamma*sig)*x + (gamma/log(gamma+1) - 2*rho*sig) = 0;
-    the returned value is the best of the nonnegative real roots and 0.
+    For the log surrogate f'(x) = q(x) / (gamma*x + 1) with the upward quadratic
+    q(x) = 2*rho*gamma*x^2 + 2*rho*(1 - gamma*sig)*x + (gamma/log(gamma+1) - 2*rho*sig),
+    so f rises up to q's smaller root, falls between the roots and rises after
+    the larger one. The smaller root is therefore a local maximum and never
+    beats x = 0 (clipped to 0, it is x = 0); the minimizer is the larger root,
+    clipped to 0, where it beats x = 0, and 0 otherwise.
     """
     sig = np.asarray(sig, dtype=float)
     if not rho > 0:
@@ -201,21 +204,9 @@ def prox_singular_values(sig, rho, psi):
     c = psi.deriv_at_zero - 2.0 * rho * sig
     disc = b * b - 4.0 * a * c
     sq = np.sqrt(np.maximum(disc, 0.0))
-    ok = disc >= 0
-    r_hi = np.where(ok, np.maximum((-b + sq) / (2.0 * a), 0.0), 0.0)
-    r_lo = np.where(ok, np.maximum((-b - sq) / (2.0 * a), 0.0), 0.0)
-
-    def objective(x):
-        return psi.value(x) + rho * (x - sig) ** 2
-
-    best_x = np.zeros_like(sig)
-    best_f = rho * sig**2  # objective at x = 0
-    for cand in (r_lo, r_hi):
-        f = objective(cand)
-        take = f < best_f
-        best_x = np.where(take, cand, best_x)
-        best_f = np.where(take, f, best_f)
-    return best_x
+    root = np.where(disc >= 0, np.maximum((-b + sq) / (2.0 * a), 0.0), 0.0)
+    take = psi.value(root) + rho * (root - sig) ** 2 < rho * sig**2  # f(root) < f(0)
+    return np.where(take, root, 0.0)
 
 
 def scalar_prox(s, rho, psi):

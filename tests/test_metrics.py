@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from hsfusion import (
     sam,
     ssim,
 )
-from hsfusion.metrics import PSNR_CAP_DB
+from hsfusion.metrics import _SLAB_ROWS, PSNR_CAP_DB, _band_mse
 
 
 def test_psnr_identical_hits_cap():
@@ -52,6 +54,60 @@ def test_psnr_whole_cube_variant_differs():
     ref = rng.random((5, 5, 3))
     est = ref + rng.normal(0, [0.001, 0.2, 0.2], (5, 5, 3))
     assert psnr(ref, est, 1.0) != pytest.approx(psnr(ref, est, 1.0, per_band=False))
+
+
+def test_whole_cube_psnr_matches_the_flattened_mse():
+    rng = np.random.default_rng(19)
+    ref = rng.random((45, 38, 7))
+    est = ref + rng.normal(0.0, 0.05, ref.shape)
+    want = 10.0 * np.log10(1.0 / np.mean((ref - est) ** 2))
+    assert psnr(ref, est, 1.0, per_band=False) == pytest.approx(want, rel=1e-13)
+
+
+# the squared-error sums read _SLAB_ROWS (16) rows at a time: fewer rows than
+# one slab, exactly one, two whole slabs, a ragged last slab, a single row
+_SLABBED_SHAPES = [(9, 7, 5), (16, 7, 5), (32, 5, 2), (41, 6, 3), (1, 13, 4), (300, 7, 2)]
+
+
+@pytest.mark.parametrize("shape", _SLABBED_SHAPES)
+def test_band_mse_has_the_bits_of_the_whole_cube_reduction(shape):
+    rng = np.random.default_rng(sum(shape))
+    ref = rng.random(shape)
+    est = ref + rng.normal(0.0, 0.05, shape)
+    want = ((ref - est) ** 2).mean(axis=(0, 1))
+    assert _band_mse(ref, est).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("i1", [9, _SLAB_ROWS, 41])
+def test_band_mse_of_one_band(i1):
+    # numpy sums one band's contiguous column pairwise, the slabs sequentially
+    rng = np.random.default_rng(i1)
+    ref = rng.random((i1, 13, 1))
+    est = ref + rng.normal(0.0, 0.05, ref.shape)
+    want = ((ref - est) ** 2).mean(axis=(0, 1))
+    np.testing.assert_allclose(_band_mse(ref, est), want, rtol=1e-15, atol=0.0)
+
+
+def _traced_peak(metric, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        metric(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_metrics_build_no_cube_sized_temporary():
+    rng = np.random.default_rng(18)
+    ref = rng.random((512, 16, 64)) + 0.05  # 4.2 MB
+    est = ref + rng.normal(0.0, 0.05, ref.shape)
+    cube = ref.nbytes
+    # evaluate's largest buffers are ssim's slab buffers, then sam's per-pixel norms
+    assert _traced_peak(evaluate, ref, est, ratio=4.0) < cube / 4
+    assert _traced_peak(psnr, ref, est, 1.0) < cube / 10
+    assert _traced_peak(psnr, ref, est, 1.0, per_band=False) < cube / 10
+    assert _traced_peak(ergas, ref, est, 4.0) < cube / 10
 
 
 def test_psnr_rejects_shape_mismatch():

@@ -289,6 +289,45 @@ def test_scalar_prox_small_gamma_soft_threshold_limit():
         assert abs(got - soft) <= 1e-4
 
 
+def _two_candidate_prox(sig, rho, psi):
+    """prox_singular_values as the best of both clipped stationary points and 0."""
+    g = psi.gamma
+    a = 2.0 * rho * g
+    b = 2.0 * rho * (1.0 - g * sig)
+    c = psi.deriv_at_zero - 2.0 * rho * sig
+    disc = b * b - 4.0 * a * c
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    ok = disc >= 0
+    r_hi = np.where(ok, np.maximum((-b + sq) / (2.0 * a), 0.0), 0.0)
+    r_lo = np.where(ok, np.maximum((-b - sq) / (2.0 * a), 0.0), 0.0)
+    best_x = np.zeros_like(sig)
+    best_f = rho * sig**2
+    for cand in (r_lo, r_hi):
+        f = psi.value(cand) + rho * (cand - sig) ** 2
+        take = f < best_f
+        best_x = np.where(take, cand, best_x)
+        best_f = np.where(take, f, best_f)
+    return best_x
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1e-1, 1.0, 30.0, 1e4])
+def test_prox_needs_only_the_larger_stationary_point(gamma):
+    # the smaller root of the stationarity quadratic is a local maximum of the
+    # objective: dropping it changes no output, on a grid that crosses the
+    # shrink-to-zero threshold deriv_at_zero / (2 rho) for every rho
+    psi = LogSurrogate(gamma)
+    rng = np.random.default_rng(int(gamma * 1000))
+    for rho in np.logspace(-6, 10, 33):
+        scale = psi.deriv_at_zero / (2.0 * rho)
+        sig = np.concatenate([
+            [0.0],
+            scale * np.linspace(0.0, 4.0, 801),
+            scale * 10.0 ** rng.uniform(-3.0, 3.0, 400),
+        ])
+        want = _two_candidate_prox(sig, rho, psi)
+        assert prox_singular_values(sig, rho, psi).tobytes() == want.tobytes()
+
+
 def test_ntpnn_prox_zeros():
     assert not ntpnn_prox(np.zeros((3, 4, 2)), 1.0, PSI).any()
 
