@@ -24,6 +24,7 @@ from .config import TAU_MODES, SolverConfig  # noqa: F401 (SolverConfig re-expor
 from .errors import DimensionError, DivergenceError
 from .regularizer import _from_norm_layout, _to_norm_layout, nms_tctv
 from .tensor import (
+    all_finite,
     difference,
     difference_adjoint,
     mode_n_product,
@@ -401,7 +402,7 @@ def solve(x, y, p1, p2, p3, config):
         # g1 or g2 shows in the residual norms, a multiplier in its own norm.
         with np.errstate(over="ignore", invalid="ignore"):
             state = step_a(state, tau, grad)
-            if not np.isfinite(state.a).all():
+            if not all_finite(state.a):
                 raise DivergenceError(
                     f"iterate 'a' became non-finite at iteration {state.iter}"
                 )

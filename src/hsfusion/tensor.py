@@ -7,6 +7,11 @@ modify their inputs.
 Convention fixed here and relied on everywhere else: ``unfold(t, n)`` puts
 mode n on the rows; columns enumerate the remaining modes with the
 lower-numbered mode varying fastest.
+
+:func:`all_finite` is the one whole-array finiteness check that the scene
+generator, ``solve`` and the ``.cmt``/ENVI readers and writer share. It tests
+:data:`SLAB_ELEMENTS` elements (1 MiB of float64) at a time through a single
+boolean mask of that size, so no check builds an array-sized mask.
 """
 
 import numpy as np
@@ -14,6 +19,9 @@ import numpy as np
 from .errors import DimensionError
 
 _SHUFFLE_AXES = {1: (1, 2, 0), 2: (0, 2, 1)}
+
+# elements a finiteness scan tests at a time: 1 MiB of float64
+SLAB_ELEMENTS = 1 << 17
 
 
 def diff_matrix(n):
@@ -135,8 +143,25 @@ def atv_norm(t):
     return float(np.abs(g1).sum() + np.abs(g2).sum())
 
 
+def all_finite(a):
+    """True if a holds no NaN or Inf.
+
+    Reads a in memory order, :data:`SLAB_ELEMENTS` at a time, through one
+    boolean mask of at most that size. An array contiguous in some axis
+    order (a transposed view, say) is read in place; any other is copied
+    once by ``np.ravel``.
+    """
+    flat = np.ravel(a, order="K")
+    mask = np.empty(min(flat.size, SLAB_ELEMENTS), dtype=bool)
+    for i in range(0, flat.size, SLAB_ELEMENTS):
+        chunk = flat[i : i + SLAB_ELEMENTS]
+        if not np.isfinite(chunk, out=mask[: chunk.size]).all():
+            return False
+    return True
+
+
 def require_finite(arr, name="array"):
     """Raise ValueError if arr contains NaN or Inf."""
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr

@@ -9,18 +9,27 @@ CMT layout, all little-endian regardless of host:
     then the row-major float64 payload
 
 The file length must equal header + payload exactly. Writes go through a
-temporary file and an atomic rename.
+temporary file and an atomic rename; the temporary file is removed if the
+write or the rename fails.
+
+Neither direction builds a payload-sized temporary for a C-order array.
+``write_tensor`` writes the payload straight from the array's own buffer and
+``read_tensor`` reads into the array it returns. Both check finiteness with
+:func:`hsfusion.tensor.all_finite`, which scans in slabs.
 
 ``read_envi`` covers the common case of real hyperspectral cubes shipped as
 ENVI band-sequential rasters with a sidecar .hdr; it is import-only.
 """
 
+import contextlib
+import math
 import os
 import struct
 
 import numpy as np
 
 from .errors import TensorFileError
+from .tensor import all_finite
 
 MAGIC = b"CMT1"
 DTYPE_FLOAT64 = 0x01
@@ -32,15 +41,23 @@ def write_tensor(path, t):
     t = np.asarray(t, dtype="<f8")
     if t.ndim not in (2, 3):
         raise ValueError(f"only 2- or 3-way arrays are supported, got ndim={t.ndim}")
-    if not np.isfinite(t).all():
+    if not all_finite(t):
         raise ValueError("refusing to write non-finite values")
+    # no copy for a C-order array, which is what every caller passes
+    t = np.ascontiguousarray(t)
     header = MAGIC + bytes([DTYPE_FLOAT64, t.ndim])
     header += b"".join(struct.pack("<Q", d) for d in t.shape)
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(t).tobytes())
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            fh.write(t.data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_tensor(path):
@@ -70,7 +87,7 @@ def read_tensor(path):
         shape = struct.unpack(f"<{ndim}Q", data[_HEADER_FIXED:header_len])
         if any(d == 0 for d in shape):
             raise TensorFileError(f"zero dimension in shape {shape} at offset 6")
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         expected = header_len + 8 * count
         if size != expected:
             raise TensorFileError(
@@ -82,7 +99,7 @@ def read_tensor(path):
     if arr.size != count:
         raise TensorFileError(f"payload of {path} shrank while it was read")
     arr = arr.reshape(shape).astype(float, copy=False)
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise TensorFileError(f"non-finite values in payload of {path}")
     return arr
 
@@ -168,7 +185,7 @@ def read_envi(header_path):
         )
     cube = raw.reshape(bands, lines, samples).transpose(1, 2, 0)
     cube = np.ascontiguousarray(cube, dtype=float)
-    if not np.isfinite(cube).all():
+    if not all_finite(cube):
         raise TensorFileError(f"{data_path}: non-finite values in raster")
     return cube
 

@@ -18,6 +18,11 @@ from hsfusion import (
     synth_scene,
     unfold,
 )
+from hsfusion import degradation as degradation_module
+from hsfusion.tensor import SLAB_ELEMENTS
+
+# entries of a two-slab cube that a slab-wise scan could miss
+EDGES = (0, SLAB_ELEMENTS - 1, SLAB_ELEMENTS, 2 * SLAB_ELEMENTS - 1)
 
 
 def test_kernel_size_one():
@@ -168,6 +173,18 @@ def test_gamma_calibrate_rejects_negative():
 def test_synth_scene_flat_blocks_has_zero_regularizer():
     z, a, s = synth_scene(SceneSpec(shape=(8, 8, 6), r=2, blocks=1, seed=3))
     assert nms_tctv(a, LogSurrogate(0.1)) == 0.0
+
+
+@pytest.mark.parametrize("index", EDGES)
+def test_synth_scene_rejects_a_non_finite_scene(monkeypatch, index):
+    def poisoned_product(a, s, mode):
+        z = np.zeros((64, 64, 64))
+        z.flat[index] = np.inf
+        return z
+
+    monkeypatch.setattr(degradation_module, "mode_n_product", poisoned_product)
+    with pytest.raises(ValueError, match="^synthetic scene contains non-finite entries$"):
+        synth_scene(SceneSpec(shape=(8, 8, 6), r=2, seed=3))
 
 
 def test_synth_scene_semi_unitary_basis():

@@ -44,6 +44,7 @@ from hsfusion.solver import (
     step_g,
     update_multipliers,
 )
+from hsfusion.tensor import SLAB_ELEMENTS
 from hsfusion.tsvd import _subgradient_deviation
 from dataclasses import replace
 
@@ -670,6 +671,17 @@ def test_solve_rejects_non_finite_inputs():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         solve(bad, prob.y, prob.p1, prob.p2, prob.p3, SolverConfig(r=2))
+
+
+@pytest.mark.parametrize(
+    "index", [0, SLAB_ELEMENTS - 1, SLAB_ELEMENTS, 2 * SLAB_ELEMENTS - 1])
+@pytest.mark.parametrize("which, name", [(0, "HSI"), (1, "MSI")])
+def test_solve_rejects_each_edge_entry_of_an_input(which, name, index):
+    # a two-slab cube; the input check runs before any shape check
+    inputs = [np.zeros((64, 64, 64)), np.zeros((64, 64, 64)), np.eye(2), np.eye(2), np.eye(2)]
+    inputs[which].flat[index] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        solve(*inputs, SolverConfig(r=2))
 
 
 @pytest.mark.parametrize("max_iter", [1, 5])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,17 @@ from hsfusion import (
     tv_norm,
     unfold,
 )
-from hsfusion.tensor import difference, difference_adjoint
+from hsfusion.tensor import (
+    SLAB_ELEMENTS,
+    all_finite,
+    difference,
+    difference_adjoint,
+    require_finite,
+)
+
+# a cube of exactly two slabs, and the entries a slab-wise scan could miss
+TWO_SLABS = (64, 64, 64)
+EDGES = (0, SLAB_ELEMENTS - 1, SLAB_ELEMENTS, 2 * SLAB_ELEMENTS - 1)
 
 
 def test_diff_matrix_three():
@@ -278,3 +290,54 @@ def test_tv_rejects_small_spatial_dims():
     with pytest.raises(DimensionError):
         atv_norm(np.zeros((5, 1, 3)))
 
+
+
+def _two_slab_view(layout):
+    """Zeros as a view of two slabs' worth of elements, and an array whose C
+    order is the view's memory order (a strided view is scanned as a copy in
+    its own C order)."""
+    if layout == "strided":
+        view = np.zeros((64, 64, 128))[..., ::2]
+        return view, view
+    z = np.zeros(TWO_SLABS)
+    return (z.T if layout == "transposed" else z), z
+
+
+@pytest.mark.parametrize("layout", ["C", "transposed", "strided"])
+@pytest.mark.parametrize("index", EDGES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_all_finite_finds_each_edge_entry(bad, index, layout):
+    view, memory = _two_slab_view(layout)
+    assert all_finite(view)
+    memory.flat[index] = bad
+    assert not all_finite(view)
+
+
+def test_require_finite_names_the_array():
+    z = np.zeros(3)
+    assert require_finite(z, "cube") is z
+    z[1] = np.nan
+    with pytest.raises(ValueError, match="^cube contains non-finite entries$"):
+        require_finite(z, "cube")
+
+
+def test_all_finite_takes_scalars_and_empty_arrays():
+    assert all_finite(2.5)
+    assert all_finite(np.zeros((0, 3)))
+    assert not all_finite(np.float64("nan"))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_all_finite_scans_without_an_array_sized_mask(transpose):
+    view = np.random.default_rng(0).random((1024, 64, 64))  # 32 MB
+    if transpose:
+        view = view.T
+    tracemalloc.start()
+    try:
+        assert all_finite(view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an array-sized boolean mask would be an eighth of the floats; one
+    # slab's mask is 128 KiB
+    assert peak < view.nbytes / 32

@@ -1,3 +1,4 @@
+import io
 import struct
 import tracemalloc
 
@@ -5,6 +6,12 @@ import numpy as np
 import pytest
 
 from hsfusion import TensorFileError, load_cube, read_envi, read_tensor, write_tensor
+from hsfusion import tensorfile as tensorfile_module
+from hsfusion.tensor import SLAB_ELEMENTS
+
+# a cube of exactly two slabs, and the entries a slab-wise scan could miss
+TWO_SLABS = (64, 64, 64)
+EDGES = (0, SLAB_ELEMENTS - 1, SLAB_ELEMENTS, 2 * SLAB_ELEMENTS - 1)
 
 
 def test_roundtrip_is_bit_exact(tmp_path):
@@ -29,7 +36,7 @@ def test_read_allocates_about_the_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back, t)
-    # the array itself plus the finiteness check's boolean mask
+    # the array itself plus one slab's finiteness mask
     assert peak < 1.25 * t.nbytes
 
 
@@ -129,6 +136,100 @@ def test_no_temp_file_left_behind(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.cmt"]
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_and_read_build_no_payload_sized_temporary(tmp_path):
+    cube = np.random.default_rng(4).random((1024, 64, 64))  # 32 MB
+    path = tmp_path / "big.cmt"
+    _, peak = _traced_peak(write_tensor, path, cube)
+    assert peak < cube.nbytes / 16
+    back, peak = _traced_peak(read_tensor, path)
+    assert np.array_equal(back, cube)
+    assert peak - back.nbytes < cube.nbytes / 16
+
+
+@pytest.mark.parametrize(
+    "shape, axes",
+    [((40, 50, 70), (2, 1, 0)), (TWO_SLABS, (1, 2, 0)), ((300, 7), (1, 0))],
+)
+def test_non_contiguous_view_writes_its_c_order_bytes(tmp_path, shape, axes):
+    view = np.random.default_rng(5).standard_normal(shape).transpose(axes)
+    assert not view.flags.c_contiguous
+    write_tensor(tmp_path / "view.cmt", view)
+    write_tensor(tmp_path / "copy.cmt", np.ascontiguousarray(view))
+    blob = (tmp_path / "view.cmt").read_bytes()
+    assert blob == (tmp_path / "copy.cmt").read_bytes()
+    assert blob.endswith(np.ascontiguousarray(view).tobytes())
+
+
+@pytest.mark.parametrize("index", EDGES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_write_refuses_each_edge_entry(tmp_path, bad, index):
+    cube = np.zeros(TWO_SLABS)
+    cube.flat[index] = bad
+    with pytest.raises(ValueError, match="^refusing to write non-finite values$"):
+        write_tensor(tmp_path / "t.cmt", cube)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("index", EDGES)
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_read_rejects_each_edge_entry(tmp_path, bad, index):
+    path = tmp_path / "t.cmt"
+    write_tensor(path, np.zeros(TWO_SLABS))
+    blob = bytearray(path.read_bytes())
+    at = 6 + 8 * 3 + 8 * index
+    blob[at : at + 8] = struct.pack("<d", bad)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(TensorFileError, match="^non-finite values in payload of "):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize(
+    "shape, payload",
+    [((2**62 + 1, 4, 1), 32), ((2**33, 2**33, 1), 0)],
+    ids=["wraps-to-4", "wraps-to-0"],
+)
+def test_header_whose_element_count_overflows_int64(tmp_path, shape, payload):
+    # in int64 the element counts wrap to 4 and 0, which would match these payloads
+    path = tmp_path / "bad.cmt"
+    path.write_bytes(b"CMT1" + bytes([0x01, 0x03]) + struct.pack("<3Q", *shape) + bytes(payload))
+    with pytest.raises(TensorFileError, match="payload length mismatch.*offset"):
+        read_tensor(path)
+
+
+def test_failed_rename_removes_the_temporary_file(tmp_path):
+    target = tmp_path / "target"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_tensor(target, np.zeros((2, 2)))
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+    assert list(target.iterdir()) == []
+
+
+def test_failed_write_removes_the_temporary_file(tmp_path, monkeypatch):
+    class FillsAfterTheHeader(io.FileIO):
+        def write(self, b):
+            if self.tell() > 0:
+                raise OSError(28, "No space left on device")
+            return super().write(b)
+
+    monkeypatch.setattr(
+        tensorfile_module, "open", lambda path, mode: FillsAfterTheHeader(path, "w"),
+        raising=False,
+    )
+    with pytest.raises(OSError, match="No space left"):
+        write_tensor(tmp_path / "t.cmt", np.zeros((4, 4)))
+    assert list(tmp_path.iterdir()) == []
+
+
 def _write_envi(tmp_path, cube, dtype, byte_order, stem="scene", offset=0):
     lines, samples, bands = cube.shape
     hdr = tmp_path / f"{stem}.hdr"
@@ -195,3 +296,12 @@ def test_load_cube_dispatches_on_suffix(tmp_path):
     hdr = _write_envi(tmp_path, cube, "5", 0)
     assert np.array_equal(load_cube(cmt), cube)
     assert np.array_equal(load_cube(hdr), cube)
+
+
+@pytest.mark.parametrize("index", EDGES)
+def test_envi_rejects_each_edge_entry(tmp_path, index):
+    cube = np.zeros(TWO_SLABS)
+    cube.flat[index] = np.nan
+    hdr = _write_envi(tmp_path, cube, "5", 0)
+    with pytest.raises(TensorFileError, match="non-finite values in raster$"):
+        read_envi(hdr)

@@ -37,6 +37,8 @@ from hsfusion.tsvd import (
 )
 
 PSI = LogSurrogate(0.1)
+# numpy.exceptions arrived in numpy 1.25; numpy 1.24 keeps the class at the top level
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 
 def _bcirc(a):
@@ -91,7 +93,7 @@ def test_tproduct_warns_on_complex_input():
     """Complex input is not silently truncated: the cast to float emits
     numpy's ComplexWarning, which warnings-as-errors turns into a failure."""
     a = np.ones((2, 2, 3)) + 1j
-    with pytest.warns(np.exceptions.ComplexWarning):
+    with pytest.warns(ComplexWarning):
         t_product(a, np.ones((2, 2, 3)))
 
 
