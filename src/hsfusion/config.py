@@ -1,14 +1,15 @@
 """Flat key=value run configuration shared by the CLI commands.
 
 Unknown keys are rejected; every value is range-checked against the solver
-and degradation invariants. Command-line flags override file values, which
-override the defaults of ``RunConfig`` (for the solver keys, those of
-``SolverConfig``).
+and degradation invariants, and the float keys must be finite. Command-line
+flags override file values, which override the defaults of ``RunConfig``
+(for the solver keys, those of ``SolverConfig``).
 
 This module imports no numpy, so a command that only reads its configuration
 (or none) starts without the numerical stack.
 """
 
+import math
 from dataclasses import dataclass, fields
 from typing import get_args
 
@@ -38,14 +39,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"subspace dimension must be >= 1, got {self.r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.rho0 > 0:
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if not self.nu > 1:
-            raise ValueError(f"nu must exceed 1, got {self.nu}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not (self.rho0 > 0 and math.isfinite(self.rho0)):
+            raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
+        if not (self.nu > 1 and math.isfinite(self.nu)):
+            raise ValueError(f"nu must be finite and exceed 1, got {self.nu}")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tau_mode not in TAU_MODES:
@@ -84,12 +85,12 @@ class RunConfig:
             raise ValueError(f"factor must be >= 1, got {self.factor}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd and positive, got {self.kernel_size}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.peak is not None and not self.peak > 0:
-            raise ValueError(f"peak must be positive, got {self.peak}")
+        if self.peak is not None and not (self.peak > 0 and math.isfinite(self.peak)):
+            raise ValueError(f"peak must be positive and finite, got {self.peak}")
 
     def require_r(self):
         if self.r is None:

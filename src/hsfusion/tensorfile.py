@@ -18,7 +18,9 @@ Neither direction builds a payload-sized temporary for a C-order array.
 :func:`hsfusion.tensor.all_finite`, which scans in slabs.
 
 ``read_envi`` covers the common case of real hyperspectral cubes shipped as
-ENVI band-sequential rasters with a sidecar .hdr; it is import-only.
+ENVI band-sequential rasters with a sidecar .hdr; it is import-only. It reads
+one band at a time into the cube it returns, so its peak beyond that cube is
+one band of raw samples.
 """
 
 import contextlib
@@ -140,23 +142,39 @@ def _parse_envi_header(text, source):
     return fields
 
 
+def _envi_int(fields, key, source, minimum, default=None):
+    """Integer header field ``key``, at least ``minimum``; TensorFileError otherwise."""
+    text = fields.get(key, default)
+    if text is None:
+        raise TensorFileError(f"{source}: missing ENVI field {key!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise TensorFileError(f"{source}: ENVI field {key!r} is not an integer: {text!r}") from None
+    if value < minimum:
+        raise TensorFileError(f"{source}: ENVI field {key!r} must be >= {minimum}, got {value}")
+    return value
+
+
 def read_envi(header_path):
     """Read an ENVI band-sequential raster as a (lines, samples, bands) cube.
 
     Supports interleave bsq, integer/float data types 1/2/4/5/12, both byte
-    orders, and an optional header offset. The image file is looked up next
-    to the header (same stem, or .img/.dat/.raw/.bsq suffixes).
+    orders, and an optional header offset. ``samples``, ``lines`` and
+    ``bands`` must be at least 1 and ``header offset`` at least 0. The image
+    file is looked up next to the header (same stem, or .img/.dat/.raw/.bsq
+    suffixes). It is read one band at a time into the returned cube, so the
+    read holds one band of raw samples beyond the cube.
     """
     header_path = os.fspath(header_path)
     with open(header_path, "r", encoding="utf-8", errors="replace") as fh:
         fields = _parse_envi_header(fh.read(), header_path)
-    try:
-        samples = int(fields["samples"])
-        lines = int(fields["lines"])
-        bands = int(fields["bands"])
-        dtype_code = fields["data type"]
-    except KeyError as exc:
-        raise TensorFileError(f"{header_path}: missing ENVI field {exc}") from exc
+    samples = _envi_int(fields, "samples", header_path, 1)
+    lines = _envi_int(fields, "lines", header_path, 1)
+    bands = _envi_int(fields, "bands", header_path, 1)
+    dtype_code = fields.get("data type")
+    if dtype_code is None:
+        raise TensorFileError(f"{header_path}: missing ENVI field 'data type'")
     interleave = fields.get("interleave", "bsq").lower()
     if interleave != "bsq":
         raise TensorFileError(
@@ -169,7 +187,7 @@ def read_envi(header_path):
         dtype = dtype.newbyteorder(">")
     else:
         dtype = dtype.newbyteorder("<")
-    offset = int(fields.get("header offset", "0"))
+    offset = _envi_int(fields, "header offset", header_path, 0, default="0")
 
     stem = header_path[:-4] if header_path.lower().endswith(".hdr") else header_path
     candidates = [stem] + [stem + ext for ext in (".img", ".dat", ".raw", ".bsq")]
@@ -177,14 +195,18 @@ def read_envi(header_path):
     if data_path is None:
         raise TensorFileError(f"{header_path}: no image file next to the header")
 
-    count = samples * lines * bands
-    raw = np.fromfile(data_path, dtype=dtype, count=count, offset=offset)
-    if raw.size != count:
-        raise TensorFileError(
-            f"{data_path}: expected {count} samples, found {raw.size}"
-        )
-    cube = raw.reshape(bands, lines, samples).transpose(1, 2, 0)
-    cube = np.ascontiguousarray(cube, dtype=float)
+    cube = np.empty((lines, samples, bands))
+    band = np.empty((lines, samples), dtype=dtype)
+    with open(data_path, "rb") as fh:
+        fh.seek(offset)
+        for b in range(bands):
+            got = fh.readinto(band)
+            if got != band.nbytes:
+                found = (b * band.nbytes + got) // dtype.itemsize
+                raise TensorFileError(
+                    f"{data_path}: expected {band.size * bands} samples, found {found}"
+                )
+            cube[:, :, b] = band
     if not all_finite(cube):
         raise TensorFileError(f"{data_path}: non-finite values in raster")
     return cube

@@ -9,12 +9,13 @@ which the inverse rfft supplies, so assembled tensors are exactly real and the
 factorization work is halved. Fourier slices 0 and Nyquist of a real tensor
 have zero imaginary part, and the inverse rfft reads only their real part.
 
-The slices the solver factorizes are tall and thin, (I_n - 1) x R; wide ones
-(I_n = 2) are factored through the transposed tensor. The prox, the norms and
-the KKT subgradient check all factor them QR-first (Chan, ACM TOMS 1982): a
-slice C = QR has the singular values and right vectors of its small R factor,
-which keeps the SVD's backward stability. Only the subgradient check forms Q,
-and it applies the left vectors as Q W, where R = W S V^H."""
+The slices the solver factorizes are (I_n - 1) x R, tall and thin in practice
+and wide at edge shapes (I_n - 1 < R); either shape is factored as it comes.
+The prox, the norms and the KKT subgradient check all factor them QR-first
+(Chan, ACM TOMS 1982): a slice C = QR has the singular values and right
+vectors of its R factor, square for a tall slice and trapezoidal for a wide
+one, which keeps the SVD's backward stability. Only the subgradient check
+forms Q, and it applies the left vectors as Q W, where R = W S V^H."""
 
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ class LogSurrogate:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"surrogate gamma must be positive, got {self.gamma}")
+        if not (self.gamma > 0 and np.isfinite(self.gamma)):
+            raise ValueError(f"surrogate gamma must be positive and finite, got {self.gamma}")
 
     def value(self, x):
         return np.log1p(self.gamma * np.asarray(x)) / np.log1p(self.gamma)
@@ -116,19 +117,10 @@ def _factorization_error(slices, exc):
     return FactorizationError(f"SVD failed on {where}: {exc}")
 
 
-def _tall_axes(t):
-    """Axes that swap modes 1 and 2 of t when its Fourier slices are wide, else
-    keep them. A real tensor's Fourier slices transpose with it, with the same
-    singular values, so the slice kernel only sees tall slices; the
-    permutation is its own inverse."""
-    return (1, 0, 2) if t.shape[0] < t.shape[1] else (0, 1, 2)
-
-
 def _thin_slice_svd(slices, compute_uv=True, left=False):
-    """Singular values, and V^H when ``compute_uv``, of stacked slices with at
-    least as many rows as columns, from one batched SVD of their square QR
-    factors R: C = QR and R = W S V^H give C = (QW) S V^H. With ``left``,
-    returns (Q, W, S, V^H)."""
+    """Singular values, and V^H when ``compute_uv``, of stacked slices of
+    either shape, from one batched thin SVD of their QR factors R: C = QR and
+    R = W S V^H give C = (QW) S V^H. With ``left``, returns (Q, W, S, V^H)."""
     try:
         if left:
             q, r = np.linalg.qr(slices)
@@ -136,7 +128,7 @@ def _thin_slice_svd(slices, compute_uv=True, left=False):
             r = np.linalg.qr(slices, mode="r")
         if not compute_uv:
             return np.linalg.svd(r, compute_uv=False)
-        w, s, vh = np.linalg.svd(r)
+        w, s, vh = np.linalg.svd(r, full_matrices=False)
         return (q, w, s, vh) if left else (s, vh)
     except np.linalg.LinAlgError as exc:
         raise _factorization_error(slices, exc) from exc
@@ -168,7 +160,6 @@ def t_svd(t):
 
 def _fourier_singular_values(t):
     """Singular values of every Fourier slice, shape (I3, min(I1, I2))."""
-    t = t.transpose(_tall_axes(t))
     s = _thin_slice_svd(_fourier_slices(t), compute_uv=False)
     return s[_mirror_index(t.shape[2])]
 
@@ -226,13 +217,12 @@ def ntpnn_prox(c, rho, psi):
     c = np.asarray(c, dtype=float)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    axes = _tall_axes(c)
-    slices = _fourier_slices(c.transpose(axes))
+    slices = _fourier_slices(c)
     s, vh = _thin_slice_svd(slices)
     shrunk = prox_singular_values(s, rho, psi)
     ratio = np.divide(shrunk, s, out=np.zeros_like(s), where=s > 0)
     gain = (vh.conj().swapaxes(1, 2) * ratio[:, None, :]) @ vh
-    return _from_fourier_slices(slices @ gain, c.shape[2]).transpose(axes)
+    return _from_fourier_slices(slices @ gain, c.shape[2])
 
 
 def _subgradient_deviation(g, m, psi):
@@ -241,17 +231,15 @@ def _subgradient_deviation(g, m, psi):
     of the largest, and the retained count.
 
     With a slice C = QR, R = W S V^H and M the multiplier's slice, the
-    components are u_i^H M v_i = [W^H (Q^H M) V]_ii. A wide pair is checked
-    transposed, which leaves the components of a real pair unchanged. The
-    retained count is over all I3 Fourier slices; the deviation of a mirrored
-    slice equals that of its stored conjugate.
+    components are u_i^H M v_i = [W^H (Q^H M) V]_ii for slices of either
+    shape. The retained count is over all I3 Fourier slices; the deviation
+    of a mirrored slice equals that of its stored conjugate.
     """
-    axes = _tall_axes(g)
-    q, w, s, vh = _thin_slice_svd(_fourier_slices(g.transpose(axes)), left=True)
+    q, w, s, vh = _thin_slice_svd(_fourier_slices(g), left=True)
     sv_max = float(s.max(initial=0.0))
     if sv_max == 0.0:
         return 0.0, 0
-    mh = _fourier_slices(m.transpose(axes))
+    mh = _fourier_slices(m)
     wqm = w.conj().swapaxes(1, 2) @ (q.conj().swapaxes(1, 2) @ mh)
     comp = (wqm * vh.conj()).sum(axis=2)
     keep = s > 1e-8 * sv_max

@@ -51,6 +51,22 @@ def test_config_range_validation():
         build_run_config(overrides={"tau_mode": "fast"})
 
 
+FLOAT_KEYS = ("gamma", "rho0", "nu", "eps", "sigma", "peak")
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_rejects_an_infinite_float_key(key):
+    with pytest.raises(ValueError, match=rf"^{key} must .*finite.*, got inf$"):
+        build_run_config(overrides={key: float("inf")})
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_rejects_text_that_overflows_to_inf(key):
+    values = parse_config_text(f"{key} = 1e309\n")
+    with pytest.raises(ValueError, match=rf"^{key} must .*finite.*, got inf$"):
+        build_run_config(file_values=values)
+
+
 def test_config_flags_override_file():
     cfg = build_run_config(file_values={"gamma": 0.5, "r": 2}, overrides={"gamma": 0.9})
     assert cfg.gamma == 0.9 and cfg.r == 2
@@ -269,6 +285,20 @@ def test_fuse_bad_eps_mode_fails_before_reading_inputs(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error:") and "eps_mode" in err and "'scaled'" in err
+
+
+def test_fuse_rejects_an_infinite_eps(pipeline_dir, tmp_path, capsys):
+    d = pipeline_dir
+    code, _, err = _run(
+        capsys, "fuse",
+        "--x", str(d / "x.cmt"), "--y", str(d / "y.cmt"),
+        "--p1", str(d / "p1.cmt"), "--p2", str(d / "p2.cmt"), "--p3", str(d / "p3.cmt"),
+        "--r", "2", "--eps", "inf",
+        "--out", str(tmp_path / "z.cmt"), "--report", str(tmp_path / "report.json"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "eps must be positive and finite, got inf" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_self_comparison(pipeline_dir, capsys):

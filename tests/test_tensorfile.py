@@ -271,6 +271,55 @@ def test_envi_integer_data(tmp_path):
     assert np.array_equal(read_envi(hdr), cube)
 
 
+@pytest.mark.parametrize(
+    "dtype, byte_order, offset",
+    [("4", 0, 0), ("2", 1, 12), ("5", 0, 0)],
+    ids=["float32-le", "int16-be-offset", "float64"],
+)
+def test_envi_reads_the_bytes_of_a_whole_raster_read(tmp_path, dtype, byte_order, offset):
+    cube = np.round(np.random.default_rng(6).standard_normal((7, 5, 6)) * 1000)
+    hdr = _write_envi(tmp_path, cube, dtype, byte_order, offset=offset)
+    # the whole-raster reference: one read, then a C-order float copy
+    codes = {"4": np.float32, "5": np.float64, "2": np.int16}
+    raw = np.fromfile(tmp_path / "scene.img", dtype=np.dtype(codes[dtype]).newbyteorder(
+        ">" if byte_order else "<"), offset=offset)
+    expected = np.ascontiguousarray(raw.reshape(6, 7, 5).transpose(1, 2, 0), dtype=float)
+    got = read_envi(hdr)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_envi_read_holds_one_band_beyond_the_cube(tmp_path):
+    cube = np.random.default_rng(7).random((128, 128, 16))  # 2 MB
+    hdr = _write_envi(tmp_path, cube, "5", 0)
+    back, peak = _traced_peak(read_envi, hdr)
+    assert np.array_equal(back, cube)
+    assert peak - back.nbytes < cube.nbytes / 4
+
+
+@pytest.mark.parametrize("cut", [1, 8 * 20, 8 * 20 * 3 - 8])
+def test_envi_truncated_raster(tmp_path, cut):
+    hdr = _write_envi(tmp_path, np.ones((4, 5, 3)), "5", 0)
+    img = tmp_path / "scene.img"
+    img.write_bytes(img.read_bytes()[:-cut])
+    with pytest.raises(TensorFileError, match="expected 60 samples, found"):
+        read_envi(hdr)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples", -2), ("lines", -3), ("samples", 0), ("bands", 0), ("header offset", -8)],
+)
+def test_envi_rejects_out_of_range_header_numbers(tmp_path, field, value):
+    hdr = _write_envi(tmp_path, np.ones((3, 4, 2)), "5", 0)
+    text = hdr.read_text().splitlines()
+    at = next(i for i, line in enumerate(text) if line.startswith(field + " ="))
+    text[at] = f"{field} = {value}"
+    hdr.write_text("\n".join(text) + "\n")
+    with pytest.raises(TensorFileError, match=rf"ENVI field '{field}' must be >= \d, got {value}$"):
+        read_envi(hdr)
+
+
 def test_envi_rejects_non_bsq(tmp_path):
     hdr = tmp_path / "x.hdr"
     hdr.write_text("ENVI\nsamples = 2\nlines = 2\nbands = 1\n"

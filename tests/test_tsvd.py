@@ -217,6 +217,11 @@ def test_surrogate_rejects_bad_gamma():
         LogSurrogate(0.0)
 
 
+def test_surrogate_rejects_an_infinite_gamma():
+    with pytest.raises(ValueError, match="^surrogate gamma must be positive and finite, got inf$"):
+        LogSurrogate(float("inf"))
+
+
 def _ntpnn_oracle(t, psi):
     th = np.fft.fft(t, axis=2)
     total = 0.0
