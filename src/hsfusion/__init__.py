@@ -21,7 +21,7 @@ _EXPORTS = {
     "degradation": (
         "IKONOS_BANDS", "LANDSAT7_BANDS", "DegradationSet", "SceneSpec",
         "build_spatial_degradation", "build_spectral_response", "default_wavelengths",
-        "gamma_calibrate", "gaussian_kernel_1d", "make_degradation", "simulate",
+        "gaussian_kernel_1d", "make_degradation", "simulate",
         "synth_scene",
     ),
     "errors": (
@@ -41,7 +41,7 @@ _EXPORTS = {
         "step_a", "step_g", "update_multipliers",
     ),
     "tensor": (
-        "atv_norm", "diff_matrix", "fold", "mode_n_product", "mode_shuffle",
+        "atv_norm", "diff_matrix", "mode_n_product", "mode_shuffle",
         "mode_unshuffle", "tv_norm", "unfold",
     ),
     "tensorfile": ("load_cube", "read_envi", "read_tensor", "write_tensor"),

@@ -138,16 +138,6 @@ def simulate(z, d):
     return x, y
 
 
-def gamma_calibrate(z, power):
-    """Elementwise z**power brightening for nonnegative cubes, power in (0, 1]."""
-    z = np.asarray(z, dtype=float)
-    if not 0 < power <= 1:
-        raise ValueError(f"power must lie in (0, 1], got {power}")
-    if (z < 0).any():
-        raise ValueError("gamma calibration needs nonnegative entries")
-    return z**power
-
-
 @dataclass(frozen=True)
 class SceneSpec:
     """Parameters of a synthetic ground-truth scene z = a x_3 s.

@@ -9,9 +9,11 @@ observations through a fixed semi-unitary spectral basis s:
 
 Each iteration takes one Lipschitz-stepped gradient descent step on the
 smooth augmented term in a, solves both g_n subproblems exactly through the
-shuffled singular-value prox, then performs plain dual ascent on the four
-multipliers and grows the penalty geometrically (rho <- nu * rho). Stopping
-is on the maximum of the four constraint residual norms.
+shuffled singular-value prox, then performs dual ascent and grows the penalty
+geometrically (rho <- nu * rho). The state holds the scaled duals u = m/rho
+of the four multipliers m, so no primal step divides by rho; the dual ascent
+m <- m + rho r reads u <- (u + r)/nu. Stopping is on the maximum of the four
+constraint residual norms.
 """
 
 import time
@@ -72,15 +74,16 @@ class FusionProblem:
 
 @dataclass(frozen=True)
 class SolverState:
-    """All iterates of one solve; immutable, updated by replacement."""
+    """All iterates of one solve; immutable, updated by replacement. The
+    multiplier of each constraint is rho times its scaled dual u."""
 
     a: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    mx: np.ndarray
-    my: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
+    ux: np.ndarray
+    uy: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
     rho: float
     iter: int = 0
 
@@ -223,38 +226,37 @@ def initial_state(problem, rho0):
         a=np.zeros((i1, i2, r)),
         g1=np.zeros((i1 - 1, i2, r)),
         g2=np.zeros((i1, i2 - 1, r)),
-        mx=np.zeros_like(problem.x),
-        my=np.zeros_like(problem.y),
-        m1=np.zeros((i1 - 1, i2, r)),
-        m2=np.zeros((i1, i2 - 1, r)),
+        ux=np.zeros_like(problem.x),
+        uy=np.zeros_like(problem.y),
+        u1=np.zeros((i1 - 1, i2, r)),
+        u2=np.zeros((i1, i2 - 1, r)),
         rho=float(rho0),
         iter=0,
     )
 
 
 def grad_a(state, problem, tensors):
-    """Gradient of the smooth augmented objective in a: -2 A^T(r + m/rho),
-    where ``tensors`` are the constraint residuals r = b - A a of ``state``
-    (see :func:`_residual_tensors`) and A^T is the adjoint of the four
-    constraint maps."""
-    rho = state.rho
+    """Gradient of the smooth augmented objective in a: -2 A^T(r + u), where
+    ``tensors`` are the constraint residuals r = b - A a of ``state`` (see
+    :func:`_residual_tensors`), u its scaled duals and A^T the adjoint of the
+    four constraint maps."""
     rx, ry, r1, r2 = tensors
     # S^T first: it shrinks the tensor that the spatial back-projections enlarge
-    xt = mode_n_product(rx + state.mx / rho, problem.s.T, 3)
+    xt = mode_n_product(rx + state.ux, problem.s.T, 3)
     back = mode_n_product(mode_n_product(xt, problem.p1.T, 1), problem.p2.T, 2)
-    back += mode_n_product(ry + state.my / rho, problem.q.T, 3)
-    back += difference_adjoint(r1 + state.m1 / rho, 1)
-    back += difference_adjoint(r2 + state.m2 / rho, 2)
+    back += mode_n_product(ry + state.uy, problem.q.T, 3)
+    back += difference_adjoint(r1 + state.u1, 1)
+    back += difference_adjoint(r2 + state.u2, 2)
     return -2.0 * back
 
 
 def l1_objective(state, problem):
-    """Smooth augmented objective in a, the sum of |r + m/rho|_F^2 over the four
-    constraints (the quantity grad_a differentiates)."""
+    """Smooth augmented objective in a, the sum of |r + u|_F^2 over the four
+    constraints and their scaled duals (the quantity grad_a differentiates)."""
     diffs = (difference(state.a, 1), difference(state.a, 2))
-    ms = (state.mx, state.my, state.m1, state.m2)
-    return float(sum(np.sum((r + m / state.rho) ** 2)
-                     for r, m in zip(_residual_tensors(state, problem, diffs), ms)))
+    us = (state.ux, state.uy, state.u1, state.u2)
+    return float(sum(np.sum((r + u) ** 2)
+                     for r, u in zip(_residual_tensors(state, problem, diffs), us)))
 
 
 def step_a(state, tau, grad):
@@ -266,12 +268,12 @@ def step_a(state, tau, grad):
 
 
 def step_g(state, n, psi, diff):
-    """Exact g_n update through the shuffled singular-value prox; ``diff`` is
-    ``difference(state.a, n)``."""
-    m = state.m1 if n == 1 else state.m2
+    """Exact g_n update: the shuffled singular-value prox, at weight rho, of
+    the target D_n a - u_n; ``diff`` is ``difference(state.a, n)``."""
+    u = state.u1 if n == 1 else state.u2
     # the target is not kept past its shuffled copy: with the caller's
     # differences live, that keeps the prox's peak memory down
-    shrunk = ntpnn_prox(_to_norm_layout(diff - m / state.rho, n), state.rho, psi)
+    shrunk = ntpnn_prox(_to_norm_layout(diff - u, n), state.rho, psi)
     g_new = _from_norm_layout(shrunk, n)
     if n == 1:
         return replace(state, g1=g_new)
@@ -296,17 +298,13 @@ def residuals(tensors):
 
 
 def update_multipliers(state, nu, tensors):
-    """Dual ascent on the four multipliers along the residual ``tensors`` of
-    ``state``, then geometric penalty growth."""
-    rho = state.rho
-    rx, ry, r1, r2 = tensors
-    mx = state.mx + rho * rx
-    my = state.my + rho * ry
-    m1 = state.m1 + rho * r1
-    m2 = state.m2 + rho * r2
-    return replace(
-        state, mx=mx, my=my, m1=m1, m2=m2, rho=rho * nu, iter=state.iter + 1
-    )
+    """Dual ascent along the residual ``tensors`` of ``state``, then
+    geometric penalty growth: u <- (u + r)/nu and rho <- nu rho, which is
+    m <- m + rho r for the multipliers m = rho u."""
+    ux, uy, u1, u2 = ((u + r) / nu for u, r in zip(
+        (state.ux, state.uy, state.u1, state.u2), tensors))
+    return replace(state, ux=ux, uy=uy, u1=u1, u2=u2, rho=state.rho * nu,
+                   iter=state.iter + 1)
 
 
 def _trace_stats(trace):
@@ -327,17 +325,18 @@ def kkt_check(state, psi, tau, eps, res, grad, diagnostics):
 
     Checks (i) the four constraint residuals against 10*eps, (ii) the norm of
     the smooth gradient against 10*eps*tau, (iii) the Fourier singular-value
-    relation between each gradient multiplier and -psi'(sigma)/2 (to within
-    1e-4), and (iv) finiteness of the data-multiplier norm traces, with their
-    final/median growth ratios reported. ``res`` (the :func:`residuals`
-    norms) and ``grad`` (:func:`grad_a`) are those of ``state``;
-    ``diagnostics`` holds the run's multiplier norm traces.
+    relation between each gradient multiplier m_n = rho u_n and
+    -psi'(sigma)/2 (to within 1e-4), and (iv) finiteness of the
+    data-multiplier norm traces, with their final/median growth ratios
+    reported. ``res`` (the :func:`residuals` norms) and ``grad``
+    (:func:`grad_a`) are those of ``state``; ``diagnostics`` holds the run's
+    multiplier norm traces.
     """
     gnorm = float(np.linalg.norm(grad))
     dev1, kept1 = _subgradient_deviation(
-        _to_norm_layout(state.g1, 1), _to_norm_layout(state.m1, 1), psi)
+        _to_norm_layout(state.g1, 1), _to_norm_layout(state.rho * state.u1, 1), psi)
     dev2, kept2 = _subgradient_deviation(
-        _to_norm_layout(state.g2, 2), _to_norm_layout(state.m2, 2), psi)
+        _to_norm_layout(state.g2, 2), _to_norm_layout(state.rho * state.u2, 2), psi)
     mx_max, mx_ratio = _trace_stats(diagnostics.mx_norm)
     my_max, my_ratio = _trace_stats(diagnostics.my_norm)
     # The theorem's hypothesis. Finite, non-overflowing traces gate the pass;
@@ -418,8 +417,10 @@ def solve(x, y, p1, p2, p3, config):
             # the gradient at the new state is also the next iteration's step
             # (or, after the last iteration, kkt_check's)
             grad = grad_a(state, problem, tensors)
-            norms = [np.linalg.norm(v)
-                     for v in (grad, state.mx, state.my, state.m1, state.m2)]
+            # the multiplier norms |m| = rho |u|
+            norms = [np.linalg.norm(grad)] + [
+                state.rho * np.linalg.norm(u)
+                for u in (state.ux, state.uy, state.u1, state.u2)]
         if not (np.isfinite(res).all() and np.isfinite(norms).all()):
             raise DivergenceError(
                 f"a residual, gradient or multiplier norm became non-finite "

@@ -75,23 +75,6 @@ def unfold(t, mode):
     return a.reshape(t.shape[mode - 1], -1, order="F")
 
 
-def fold(m, mode, shape):
-    """Inverse of :func:`unfold`; exact roundtrip for consistent shapes."""
-    m = np.asarray(m)
-    if mode not in (1, 2, 3):
-        raise DimensionError(f"mode must be 1, 2 or 3, got {mode}")
-    if len(shape) != 3:
-        raise DimensionError(f"shape must have 3 entries, got {shape}")
-    rest = tuple(s for i, s in enumerate(shape) if i != mode - 1)
-    if m.shape != (shape[mode - 1], rest[0] * rest[1]):
-        raise DimensionError(
-            f"matrix shape {m.shape} inconsistent with folding to {tuple(shape)} "
-            f"along mode {mode}"
-        )
-    a = m.reshape((shape[mode - 1],) + rest, order="F")
-    return np.ascontiguousarray(np.moveaxis(a, 0, mode - 1))
-
-
 def mode_n_product(t, m, mode):
     """Mode-n product t x_n m: replaces dimension I_n of t by m.shape[0]."""
     t = np.asarray(t)

@@ -159,8 +159,8 @@ def _envi_int(fields, key, source, minimum, default=None):
 def read_envi(header_path):
     """Read an ENVI band-sequential raster as a (lines, samples, bands) cube.
 
-    Supports interleave bsq, integer/float data types 1/2/4/5/12, both byte
-    orders, and an optional header offset. ``samples``, ``lines`` and
+    Supports interleave bsq, integer/float data types 1/2/4/5/12, byte
+    order 0 (little-endian) or 1 (big-endian), and an optional header offset. ``samples``, ``lines`` and
     ``bands`` must be at least 1 and ``header offset`` at least 0. The image
     file is looked up next to the header (same stem, or .img/.dat/.raw/.bsq
     suffixes). It is read one band at a time into the returned cube, so the
@@ -182,11 +182,12 @@ def read_envi(header_path):
         )
     if dtype_code not in _ENVI_DTYPES:
         raise TensorFileError(f"{header_path}: unsupported data type {dtype_code}")
-    dtype = np.dtype(_ENVI_DTYPES[dtype_code])
-    if int(fields.get("byte order", "0")) == 1:
-        dtype = dtype.newbyteorder(">")
-    else:
-        dtype = dtype.newbyteorder("<")
+    byte_order = fields.get("byte order", "0")
+    if byte_order not in ("0", "1"):
+        raise TensorFileError(
+            f"{header_path}: ENVI field 'byte order' must be 0 or 1, got {byte_order!r}"
+        )
+    dtype = np.dtype(_ENVI_DTYPES[dtype_code]).newbyteorder(">" if byte_order == "1" else "<")
     offset = _envi_int(fields, "header offset", header_path, 0, default="0")
 
     stem = header_path[:-4] if header_path.lower().endswith(".hdr") else header_path

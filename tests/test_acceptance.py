@@ -155,10 +155,10 @@ def _random_problem_and_state(rng, big, small, r):
         a=rng.standard_normal((i1, i2, r)),
         g1=rng.standard_normal((i1 - 1, i2, r)),
         g2=rng.standard_normal((i1, i2 - 1, r)),
-        mx=rng.standard_normal((j1, j2, i3)),
-        my=rng.standard_normal((i1, i2, j3)),
-        m1=rng.standard_normal((i1 - 1, i2, r)),
-        m2=rng.standard_normal((i1, i2 - 1, r)),
+        ux=rng.standard_normal((j1, j2, i3)),
+        uy=rng.standard_normal((i1, i2, j3)),
+        u1=rng.standard_normal((i1 - 1, i2, r)),
+        u2=rng.standard_normal((i1, i2 - 1, r)),
     )
     return prob, state
 

@@ -10,7 +10,6 @@ from hsfusion import (
     build_spatial_degradation,
     build_spectral_response,
     default_wavelengths,
-    gamma_calibrate,
     gaussian_kernel_1d,
     make_degradation,
     nms_tctv,
@@ -145,29 +144,6 @@ def test_simulate_linearity():
     xs, ys = simulate(z1 + z2, deg)
     assert np.allclose(xs, x1 + x2, rtol=1e-12, atol=1e-14)
     assert np.allclose(ys, y1 + y2, rtol=1e-12, atol=1e-14)
-
-
-def test_gamma_calibrate_identity_power():
-    rng = np.random.default_rng(2)
-    z = rng.random((4, 4, 3))
-    assert np.array_equal(gamma_calibrate(z, 1.0), z)
-
-
-def test_gamma_calibrate_fixed_points():
-    z = np.zeros((2, 2, 2))
-    z[0, 0, 0] = 1.0
-    for power in (0.3, 0.7, 1.0):
-        assert np.array_equal(gamma_calibrate(z, power), z)
-
-
-def test_gamma_calibrate_formula():
-    z = np.full((1, 1, 1), 0.25)
-    assert gamma_calibrate(z, 0.7)[0, 0, 0] == pytest.approx(0.25**0.7, rel=1e-15)
-
-
-def test_gamma_calibrate_rejects_negative():
-    with pytest.raises(ValueError):
-        gamma_calibrate(np.array([[[-0.1]]]), 0.7)
 
 
 def test_synth_scene_flat_blocks_has_zero_regularizer():

@@ -24,6 +24,7 @@ from hsfusion import (
     mode_shuffle,
     mode_unshuffle,
     ntpnn,
+    ntpnn_prox,
     operator_norm,
     psnr,
     simulate,
@@ -44,7 +45,7 @@ from hsfusion.solver import (
     step_g,
     update_multipliers,
 )
-from hsfusion.tensor import SLAB_ELEMENTS
+from hsfusion.tensor import SLAB_ELEMENTS, difference, difference_adjoint
 from hsfusion.tsvd import _subgradient_deviation
 from dataclasses import replace
 
@@ -78,10 +79,10 @@ def _random_state(rng, problem, rho=0.8):
         a=rng.standard_normal((i1, i2, r)),
         g1=rng.standard_normal((i1 - 1, i2, r)),
         g2=rng.standard_normal((i1, i2 - 1, r)),
-        mx=rng.standard_normal(problem.x.shape),
-        my=rng.standard_normal(problem.y.shape),
-        m1=rng.standard_normal((i1 - 1, i2, r)),
-        m2=rng.standard_normal((i1, i2 - 1, r)),
+        ux=rng.standard_normal(problem.x.shape),
+        uy=rng.standard_normal(problem.y.shape),
+        u1=rng.standard_normal((i1 - 1, i2, r)),
+        u2=rng.standard_normal((i1, i2 - 1, r)),
     )
 
 
@@ -256,28 +257,27 @@ def test_grad_multiplier_scaling_is_linear():
     prob = _random_problem(rng)
     state = _random_state(rng, prob)
     doubled = replace(
-        state, mx=2 * state.mx, my=2 * state.my, m1=2 * state.m1, m2=2 * state.m2
+        state, ux=2 * state.ux, uy=2 * state.uy, u1=2 * state.u1, u2=2 * state.u2
     )
     g1 = grad_a(state, prob, _tensors(state, prob))
     g2 = grad_a(doubled, prob, _tensors(doubled, prob))
-    rho = state.rho
     shift = -2.0 * (
         mode_n_product(
-            mode_n_product(mode_n_product(state.mx / rho, prob.p1.T, 1), prob.p2.T, 2),
+            mode_n_product(mode_n_product(state.ux, prob.p1.T, 1), prob.p2.T, 2),
             prob.s.T,
             3,
         )
-        + mode_n_product(state.my / rho, prob.q.T, 3)
-        + mode_n_product(state.m1 / rho, diff_matrix(state.a.shape[0]).T, 1)
-        + mode_n_product(state.m2 / rho, diff_matrix(state.a.shape[1]).T, 2)
+        + mode_n_product(state.uy, prob.q.T, 3)
+        + mode_n_product(state.u1, diff_matrix(state.a.shape[0]).T, 1)
+        + mode_n_product(state.u2, diff_matrix(state.a.shape[1]).T, 2)
     )
     assert np.allclose(g2 - g1, shift, rtol=1e-10, atol=1e-12)
 
 
 def _gram_gradient(state, problem):
     """The gradient as the six-term Gram expression
-    2 (A^T A a - A^T (b + m/rho)), with dense P^T P, Q^T Q and D^T D."""
-    a, rho = state.a, state.rho
+    2 (A^T A a - A^T (b + u)), with dense P^T P, Q^T Q and D^T D."""
+    a = state.a
     p1, p2, q, s = problem.p1, problem.p2, problem.q, problem.s
     d1, d2 = diff_matrix(a.shape[0]), diff_matrix(a.shape[1])
     quad = (
@@ -286,11 +286,11 @@ def _gram_gradient(state, problem):
         + mode_n_product(a, d1.T @ d1, 1)
         + mode_n_product(a, d2.T @ d2, 2)
     )
-    xt = mode_n_product(problem.x + state.mx / rho, s.T, 3)
+    xt = mode_n_product(problem.x + state.ux, s.T, 3)
     data_x = mode_n_product(mode_n_product(xt, p1.T, 1), p2.T, 2)
-    data_y = mode_n_product(problem.y + state.my / rho, q.T, 3)
-    data_g1 = mode_n_product(state.g1 + state.m1 / rho, d1.T, 1)
-    data_g2 = mode_n_product(state.g2 + state.m2 / rho, d2.T, 2)
+    data_y = mode_n_product(problem.y + state.uy, q.T, 3)
+    data_g1 = mode_n_product(state.g1 + state.u1, d1.T, 1)
+    data_g2 = mode_n_product(state.g2 + state.u2, d2.T, 2)
     return 2.0 * (quad - data_x - data_y - data_g1 - data_g2)
 
 
@@ -331,7 +331,7 @@ def test_grad_applies_the_adjoint_of_the_constraint_maps(case):
         mode_n_product(a, diff_matrix(a.shape[0]), 1),
         mode_n_product(a, diff_matrix(a.shape[1]), 2),
     )
-    v = (state.mx, state.my, state.m1, state.m2)
+    v = (state.ux, state.uy, state.u1, state.u2)
     lhs = sum(float(np.vdot(f, w)) for f, w in zip(forward, v))
     rhs = float(np.vdot(a, -0.5 * grad_a(zero, prob, v)))
     scale = np.sqrt(sum(np.vdot(f, f) for f in forward) * sum(np.vdot(w, w) for w in v))
@@ -383,8 +383,8 @@ def test_step_a_double_tau_halves_the_move():
 
 def _g_subproblem_objective(g, n, state, problem, psi):
     d = diff_matrix(state.a.shape[n - 1])
-    m = state.m1 if n == 1 else state.m2
-    misfit = g + m / state.rho - mode_n_product(state.a, d, n)
+    u = state.u1 if n == 1 else state.u2
+    misfit = g + u - mode_n_product(state.a, d, n)
     return ntpnn(mode_shuffle(g, 3 - n), psi) + state.rho * np.linalg.norm(misfit) ** 2
 
 
@@ -392,7 +392,7 @@ def test_step_g_tracks_gradient_for_huge_rho():
     rng = np.random.default_rng(11)
     prob = _random_problem(rng)
     state = replace(_random_state(rng, prob), rho=1e9)
-    state = replace(state, m1=np.zeros_like(state.m1), m2=np.zeros_like(state.m2))
+    state = replace(state, u1=np.zeros_like(state.u1), u2=np.zeros_like(state.u2))
     for n in (1, 2):
         new = step_g(state, n, PSI, gradient_tensor(state.a, n))
         g = new.g1 if n == 1 else new.g2
@@ -403,7 +403,7 @@ def test_step_g_tracks_gradient_for_huge_rho():
 def test_step_g_zero_target_gives_zero():
     rng = np.random.default_rng(12)
     prob = _random_problem(rng)
-    state = initial_state(prob, 1.0)  # a = 0, m = 0 -> prox target 0
+    state = initial_state(prob, 1.0)  # a = 0, u = 0 -> prox target 0
     for n in (1, 2):
         new = step_g(state, n, PSI, gradient_tensor(state.a, n))
         assert not (new.g1 if n == 1 else new.g2).any()
@@ -442,21 +442,28 @@ def test_update_multipliers_feasible_point_only_grows_rho():
         g2=gradient_tensor(a, 2),
     )
     new = update_multipliers(state, 1.3, _tensors(state, feas))
-    assert np.allclose(new.mx, state.mx, atol=1e-12)
-    assert np.allclose(new.my, state.my, atol=1e-12)
+    # the multipliers m = rho u stay where they were
+    assert np.allclose(new.rho * new.ux, state.rho * state.ux, atol=1e-12)
+    assert np.allclose(new.rho * new.uy, state.rho * state.uy, atol=1e-12)
     assert new.rho == pytest.approx(0.7 * 1.3, rel=1e-15)
     assert new.iter == state.iter + 1
 
 
 def test_update_multipliers_gains_rho_times_residual():
+    # in the multipliers m = rho u the update is m <- m + rho r
     rng = np.random.default_rng(15)
     prob = _random_problem(rng)
     state = _random_state(rng, prob, rho=2.5)
     res_x = prob.x - mode_n_product(
         mode_n_product(mode_n_product(state.a, prob.p1, 1), prob.p2, 2), prob.s, 3
     )
-    new = update_multipliers(state, 1.05, _tensors(state, prob))
-    assert np.allclose(new.mx - state.mx, 2.5 * res_x, rtol=1e-12)
+    tensors = _tensors(state, prob)
+    assert np.allclose(tensors[0], res_x, rtol=1e-12, atol=1e-14)
+    new = update_multipliers(state, 1.05, tensors)
+    for name, r in zip(("ux", "uy", "u1", "u2"), tensors):
+        want = state.rho * getattr(state, name) + state.rho * r
+        got = new.rho * getattr(new, name)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
 
 def test_rho_trajectory_is_geometric():
@@ -570,6 +577,73 @@ def test_solve_is_deterministic():
     assert np.array_equal(z1, z2)
 
 
+def _m_form_reference(prob, config, iters):
+    """The loop with the unscaled multipliers m kept as state, each step
+    reading m/rho: returns z_hat, its traces and the final m."""
+    x, y, s, q, rho = prob.x, prob.y, prob.s, prob.q, config.rho0
+    psi = LogSurrogate(config.gamma)
+    tau = lipschitz_tau(prob.p1, prob.p2, prob.p3, s, config.tau_mode)
+    a = np.zeros(prob.spatial_shape)
+    g = [np.zeros_like(difference(a, 1)), np.zeros_like(difference(a, 2))]
+    m = [np.zeros_like(x), np.zeros_like(y), np.zeros_like(g[0]), np.zeros_like(g[1])]
+    trace = {"res": [], "rho": [], "mx_norm": [], "my_norm": []}
+    for _ in range(iters):
+        d = [difference(a, 1), difference(a, 2)]
+        a_lo = mode_n_product(mode_n_product(a, prob.p1, 1), prob.p2, 2)
+        r = [x - mode_n_product(a_lo, s, 3), y - mode_n_product(a, q, 3), g[0] - d[0], g[1] - d[1]]
+        xt = mode_n_product(r[0] + m[0] / rho, s.T, 3)
+        grad = -2.0 * (mode_n_product(mode_n_product(xt, prob.p1.T, 1), prob.p2.T, 2)
+                       + mode_n_product(r[1] + m[1] / rho, q.T, 3)
+                       + difference_adjoint(r[2] + m[2] / rho, 1)
+                       + difference_adjoint(r[3] + m[3] / rho, 2))
+        a = a - grad / tau
+        d = [difference(a, 1), difference(a, 2)]
+        g = [mode_unshuffle(ntpnn_prox(mode_shuffle(d[k] - m[2 + k] / rho, 2 - k), rho, psi), 2 - k)
+             for k in (0, 1)]
+        a_lo = mode_n_product(mode_n_product(a, prob.p1, 1), prob.p2, 2)
+        r = [x - mode_n_product(a_lo, s, 3), y - mode_n_product(a, q, 3), g[0] - d[0], g[1] - d[1]]
+        m = [mk + rho * rk for mk, rk in zip(m, r)]
+        trace["res"].append([np.linalg.norm(rk) for rk in r])
+        trace["rho"].append(rho)
+        trace["mx_norm"].append(np.linalg.norm(m[0]))
+        trace["my_norm"].append(np.linalg.norm(m[1]))
+        rho *= config.nu
+    return mode_n_product(a, s, 3), trace, m
+
+
+@pytest.mark.parametrize("big, small", [
+    ((2, 7, 5), (1, 3, 3)),
+    ((5, 2, 6), (2, 1, 4)),
+    ((6, 9, 4), (3, 3, 2)),
+    ((2, 2, 3), (2, 2, 2)),
+])
+def test_solve_matches_the_unscaled_multiplier_loop(monkeypatch, big, small):
+    # the scaled duals u = m/rho are a change of variables: the loop keeping
+    # m itself gives the same iterates, traces and final multipliers m = rho u
+    rng = np.random.default_rng(sum(big))
+    prob = _random_problem(rng, big=big, small=small, r=2)
+    cfg = SolverConfig(r=2, rho0=0.05, nu=1.2, eps=1e-30, max_iter=25)
+    final, check = [], solver_module.kkt_check
+
+    def recording_kkt_check(state, *args):
+        final.append(state)
+        return check(state, *args)
+
+    monkeypatch.setattr(solver_module, "kkt_check", recording_kkt_check)
+    z_hat, diag = solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3, cfg)
+    want_z, trace, want_m = _m_form_reference(
+        replace(prob, s=extract_subspace(prob.x, 2)), cfg, cfg.max_iter)
+    res = np.column_stack([diag.res_x, diag.res_y, diag.res_g1, diag.res_g2])
+    pairs = [(z_hat, want_z), (res, trace["res"]), (diag.rho, trace["rho"]),
+             (diag.mx_norm, trace["mx_norm"]), (diag.my_norm, trace["my_norm"])]
+    (state,) = final
+    pairs += [(state.rho * u, mk) for u, mk in zip(
+        (state.ux, state.uy, state.u1, state.u2), want_m)]
+    for got, want in pairs:
+        want = np.asarray(want)
+        assert np.linalg.norm(np.asarray(got) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 @pytest.mark.filterwarnings("error")
 def test_solve_raises_divergence_error_on_overflow():
     rng = np.random.default_rng(22)
@@ -580,10 +654,10 @@ def test_solve_raises_divergence_error_on_overflow():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", ["m1", "m2"])
+@pytest.mark.parametrize("name", ["u1", "u2"], ids=["m1", "m2"])
 def test_solve_raises_divergence_error_on_gradient_multiplier_overflow(monkeypatch, name):
-    # the overflow stays in one gradient multiplier; the solve must stop at
-    # the iteration that made it, with a typed error and no warning
+    # the overflow stays in one gradient multiplier m_n = rho u_n; the solve
+    # must stop at the iteration that made it, with a typed error and no warning
     update = solver_module.update_multipliers
 
     def overflowing_update(*args, **kwargs):

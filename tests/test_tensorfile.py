@@ -289,6 +289,15 @@ def test_envi_reads_the_bytes_of_a_whole_raster_read(tmp_path, dtype, byte_order
     assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("byte_order", ["2", "big"])
+def test_envi_rejects_a_byte_order_other_than_0_or_1(tmp_path, byte_order):
+    # byte order 2 must not read a big-endian raster as little-endian
+    hdr = _write_envi(tmp_path, np.array([[[1.0], [2.0]]]), "2", 1)
+    hdr.write_text(hdr.read_text().replace("byte order = 1", f"byte order = {byte_order}"))
+    with pytest.raises(TensorFileError, match="'byte order'"):
+        read_envi(hdr)
+
+
 def test_envi_read_holds_one_band_beyond_the_cube(tmp_path):
     cube = np.random.default_rng(7).random((128, 128, 16))  # 2 MB
     hdr = _write_envi(tmp_path, cube, "5", 0)
