@@ -91,12 +91,7 @@ def _cmd_fuse(args):
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(diag.to_dict(), fh, indent=1)
     status = "converged" if diag.converged else "not converged (max_iter)"
-    final = max(
-        diag.kkt.residual_x,
-        diag.kkt.residual_y,
-        diag.kkt.residual_g1,
-        diag.kkt.residual_g2,
-    )
+    final = max(getattr(diag.kkt, key) for key in _PASS_FIELDS[:4])
     print(
         f"fuse: {status} after {diag.iterations} iterations, "
         f"max residual {final:.3e}, tau={diag.tau:.6g} ({diag.tau_mode})"

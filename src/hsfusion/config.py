@@ -2,8 +2,9 @@
 
 Unknown keys are rejected; every value is range-checked against the solver
 and degradation invariants, and the float keys must be finite. Command-line
-flags override file values, which override the defaults of ``RunConfig``
-(for the solver keys, those of ``SolverConfig``).
+flags override file values, which override the defaults of ``RunConfig``.
+``RunConfig`` extends ``SolverConfig``, so each solver key, its default and
+its checks are declared once, there.
 
 This module imports no numpy, so a command that only reads its configuration
 (or none) starts without the numerical stack.
@@ -55,22 +56,12 @@ class SolverConfig:
             raise ValueError(f"eps_mode must be one of {EPS_MODES}, got {self.eps_mode!r}")
 
 
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "r")
-_SOLVER_DEFAULTS = SolverConfig(r=1)
-
-
 @dataclass(frozen=True)
-class RunConfig:
-    """Run keys; the solver keys' defaults and checks are SolverConfig's."""
+class RunConfig(SolverConfig):
+    """Run keys: the solver keys, with their defaults and checks, are
+    SolverConfig's; only ``r`` is optional here, until a command needs it."""
 
     r: int | None = None
-    gamma: float = _SOLVER_DEFAULTS.gamma
-    rho0: float = _SOLVER_DEFAULTS.rho0
-    nu: float = _SOLVER_DEFAULTS.nu
-    eps: float = _SOLVER_DEFAULTS.eps
-    max_iter: int = _SOLVER_DEFAULTS.max_iter
-    tau_mode: str = _SOLVER_DEFAULTS.tau_mode
-    eps_mode: str = _SOLVER_DEFAULTS.eps_mode
     factor: int = 8
     kernel_size: int = 9
     sigma: float = 3.3973
@@ -102,7 +93,8 @@ class RunConfig:
         return self._solver_config(self.require_r())
 
     def _solver_config(self, r):
-        return SolverConfig(r=r, **{key: getattr(self, key) for key in _SOLVER_KEYS})
+        values = {f.name: getattr(self, f.name) for f in fields(SolverConfig)}
+        return SolverConfig(**{**values, "r": r})
 
 
 # Every run key and the type its text parses to (``int | None`` parses as

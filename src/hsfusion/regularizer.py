@@ -20,7 +20,7 @@ from .tensor import (
     mode_unshuffle,
     tv_norm,
 )
-from .tsvd import _fourier_singular_values, tnn
+from .tsvd import _fourier_singular_values, ntpnn, tnn
 
 
 def _to_norm_layout(t, n):
@@ -59,15 +59,7 @@ def nms_tctv(a, psi, grads=None):
     """
     if grads is None:
         grads = (gradient_tensor(a, 1), gradient_tensor(a, 2))
-    return _nms_parts(grads, psi)[0]
-
-
-def _nms_parts(grads, psi):
-    """nms_tctv of the mode-1 and mode-2 gradient tensors ``grads``, and the
-    Fourier singular values of each in its NTPNN's layout."""
-    svs = [_fourier_singular_values(_to_norm_layout(g, n)) for n, g in enumerate(grads, 1)]
-    ntpnn1, ntpnn2 = (float(psi.value(sv).sum() / len(sv)) for sv in svs)
-    return 0.5 * (ntpnn1 + ntpnn2), svs
+    return 0.5 * sum(ntpnn(_to_norm_layout(g, n), psi) for n, g in enumerate(grads, 1))
 
 
 def tsvd_rank(t, rel_tol=1e-8):
@@ -155,10 +147,12 @@ def check_tv_sandwich(a, psi, rel_slack=1e-10):
     boundedness/limit-slope constants; returns a report with both chains."""
     a = np.asarray(a, dtype=float)
     i1, i2, r = a.shape
-    nms, (sv1, sv2) = _nms_parts((gradient_tensor(a, 1), gradient_tensor(a, 2)), psi)
+    grads = (gradient_tensor(a, 1), gradient_tensor(a, 2))
+    nms = nms_tctv(a, psi, grads)
     tv = tv_norm(a)
     atv = atv_norm(a)
-    x_max = max(sv1.max(initial=0.0), sv2.max(initial=0.0))
+    x_max = max(_fourier_singular_values(_to_norm_layout(g, n)).max(initial=0.0)
+                for n, g in enumerate(grads, 1))
     g = float(psi.deriv_at_zero)
     i_max = max(i1, i2)
     m_star = max(min(i1, r), min(i2, r))
@@ -176,8 +170,8 @@ def check_tv_sandwich(a, psi, rel_slack=1e-10):
         g=g,
         i_max=i_max,
         m_star=m_star,
-        tv_lower_ok=nms >= b / (2.0 * np.sqrt(i_max)) * tv - slack,
-        tv_upper_ok=nms <= g * np.sqrt(2.0 * m_star) * tv + slack,
-        atv_lower_ok=nms >= b / (2.0 * np.sqrt(i_max * i1 * i2 * r)) * atv - slack,
-        atv_upper_ok=nms <= g * np.sqrt(m_star) * atv + slack,
+        tv_lower_ok=bool(nms >= b / (2.0 * np.sqrt(i_max)) * tv - slack),
+        tv_upper_ok=bool(nms <= g * np.sqrt(2.0 * m_star) * tv + slack),
+        atv_lower_ok=bool(nms >= b / (2.0 * np.sqrt(i_max * i1 * i2 * r)) * atv - slack),
+        atv_upper_ok=bool(nms <= g * np.sqrt(m_star) * atv + slack),
     )

@@ -133,7 +133,8 @@ class Diagnostics:
 
     ``eps`` is the effective absolute threshold the stop rule used (already
     scaled by |X|_F when the solver ran in relative mode). ``wall_time[k]``
-    is the seconds iteration k took, its own diagnostics included.
+    is the seconds iteration k took, its own diagnostics included. Every
+    list field is a trace, and :meth:`record` is its one writer.
     """
 
     tau: float
@@ -153,6 +154,11 @@ class Diagnostics:
     mx_norm: list = field(default_factory=list)
     my_norm: list = field(default_factory=list)
     kkt: KKTReport | None = None
+
+    def record(self, **values):
+        """Append each value, as a float, to the trace of the same name."""
+        for name, value in values.items():
+            getattr(self, name).append(float(value))
 
     def to_dict(self):
         """The fields in declaration order, lists copied, ``kkt`` as its dict."""
@@ -426,18 +432,12 @@ def solve(x, y, p1, p2, p3, config):
                 f"a residual, gradient or multiplier norm became non-finite "
                 f"at iteration {state.iter}"
             )
-        diag.res_x.append(float(res[0]))
-        diag.res_y.append(float(res[1]))
-        diag.res_g1.append(float(res[2]))
-        diag.res_g2.append(float(res[3]))
-        diag.rho.append(float(rho_used))
-        diag.objective.append(nms_tctv(state.a, psi, diffs))
+        diag.record(res_x=res[0], res_y=res[1], res_g1=res[2], res_g2=res[3],
+                    rho=rho_used, objective=nms_tctv(state.a, psi, diffs),
+                    grad_norm=norms[0], mx_norm=norms[1], my_norm=norms[2])
         # freed now, so they add nothing to the peak of the next step or of z_hat
         del diffs
-        diag.grad_norm.append(float(norms[0]))
-        diag.mx_norm.append(float(norms[1]))
-        diag.my_norm.append(float(norms[2]))
-        diag.wall_time.append(time.perf_counter() - t_start)
+        diag.record(wall_time=time.perf_counter() - t_start)
     diag.iterations = state.iter
     diag.converged = bool(res.max() <= eps)
     diag.kkt = kkt_check(state, psi, tau, eps, res, grad, diag)

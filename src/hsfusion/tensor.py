@@ -4,9 +4,10 @@ Tensors are plain float64 numpy arrays of shape (I1, I2, I3) in C (row-major)
 order; matrices are 2-d float64 arrays. All functions are pure and never
 modify their inputs.
 
-Convention fixed here and relied on everywhere else: ``unfold(t, n)`` puts
-mode n on the rows; columns enumerate the remaining modes with the
-lower-numbered mode varying fastest.
+Convention fixed here: ``unfold(t, n)`` puts mode n on the rows; columns
+enumerate the remaining modes with the lower-numbered mode varying fastest.
+Inside the package only the solver's subspace extraction unfolds (mode 3);
+the mode-n products read the C-order layout in place.
 
 :func:`all_finite` is the one whole-array finiteness check that the scene
 generator, ``solve`` and the ``.cmt``/ENVI readers and writer share. It tests

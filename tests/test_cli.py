@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -90,6 +91,22 @@ def test_config_keys_fields_and_flags_are_one_schema():
     assert {f.name for f in fields(RunConfig)} == names
     for command in ("simulate", "fuse", "eval"):
         assert _config_flag_names(command) == names
+
+
+def test_config_keys_keep_their_names_order_and_types():
+    assert list(KEYS.items()) == [
+        ("r", int), ("gamma", float), ("rho0", float), ("nu", float), ("eps", float),
+        ("max_iter", int), ("tau_mode", str), ("eps_mode", str), ("factor", int),
+        ("kernel_size", int), ("sigma", float), ("band_table", str), ("seed", int),
+        ("peak", float),
+    ]
+
+
+def test_run_config_declares_no_solver_key_but_r():
+    # every solver key is SolverConfig's; RunConfig only makes r optional
+    assert issubclass(RunConfig, SolverConfig)
+    assert set(inspect.get_annotations(RunConfig)) == {
+        "r", "factor", "kernel_size", "sigma", "band_table", "seed", "peak"}
 
 
 def test_run_config_solver_defaults_are_solver_configs():

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,17 @@ def test_rank_sandwich_rejects_non_semi_unitary():
 def test_tv_sandwich_zero_tensor():
     rep = check_tv_sandwich(np.zeros((6, 6, 4)), PSI)
     assert rep.holds and rep.nms == 0.0
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_tv_sandwich_report_holds_python_bools_and_serializes(scale):
+    # scale 0 takes the zero-gradient branch, scale 1 the comparisons
+    a = scale * np.random.default_rng(15).standard_normal((5, 7, 3))
+    rep = check_tv_sandwich(a, PSI)
+    flags = ("tv_lower_ok", "tv_upper_ok", "atv_lower_ok", "atv_upper_ok")
+    assert all(type(getattr(rep, name)) is bool for name in flags)
+    assert type(rep.holds) is bool and rep.holds
+    assert json.loads(json.dumps(dataclasses.asdict(rep)))["tv_upper_ok"] is True
 
 
 def test_tv_sandwich_random_tensors():

@@ -738,6 +738,27 @@ def test_wall_time_covers_each_iteration_and_its_diagnostics(monkeypatch):
     assert sum(diag.wall_time) <= total
 
 
+_REPORT_KEYS = ["tau", "tau_mode", "eps", "eps_mode", "iterations", "converged",
+                "res_x", "res_y", "res_g1", "res_g2", "rho", "objective", "grad_norm",
+                "wall_time", "mx_norm", "my_norm", "kkt"]
+_TRACE_KEYS = _REPORT_KEYS[6:16]  # res_x ... my_norm
+
+
+@pytest.mark.parametrize("shape, r", [((6, 5, 8), 3), ((2, 2, 1), 1)])
+def test_report_keys_and_traces_keep_their_schema(shape, r):
+    # the report's key order, and one Python float per iteration in every trace
+    prob = _random_problem(np.random.default_rng(31), big=shape,
+                           small=tuple(max(1, d // 2) for d in shape), r=r)
+    _, diag = solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3,
+                    SolverConfig(r=r, eps=1e-300, max_iter=5))
+    report = diag.to_dict()
+    assert list(report) == _REPORT_KEYS
+    for key in _TRACE_KEYS:
+        trace = report[key]
+        assert len(trace) == diag.iterations == 5, key
+        assert all(type(v) is float for v in trace), key
+
+
 def test_solve_rejects_non_finite_inputs():
     rng = np.random.default_rng(23)
     prob = _random_problem(rng)
