@@ -14,14 +14,11 @@ other submodule.
 import importlib
 
 _EXPORTS = {
-    "config": (
-        "RunConfig", "SolverConfig", "build_run_config", "load_config_file",
-        "read_band_table",
-    ),
+    "config": ("RunConfig", "SolverConfig", "build_run_config", "load_config_file"),
     "degradation": (
         "IKONOS_BANDS", "LANDSAT7_BANDS", "DegradationSet", "SceneSpec",
         "build_spatial_degradation", "build_spectral_response", "default_wavelengths",
-        "gaussian_kernel_1d", "make_degradation", "simulate",
+        "gaussian_kernel_1d", "make_degradation", "read_band_table", "simulate",
         "synth_scene",
     ),
     "errors": (
@@ -33,15 +30,15 @@ _EXPORTS = {
     ),
     "regularizer": (
         "RankSandwichReport", "TvSandwichReport", "check_rank_sandwich",
-        "check_tv_sandwich", "gradient_tensor", "nms_tctv", "tctv", "tsvd_rank",
+        "check_tv_sandwich", "nms_tctv", "tctv", "tsvd_rank",
     ),
     "solver": (
         "Diagnostics", "FusionProblem", "KKTReport", "SolverState", "extract_subspace",
-        "grad_a", "kkt_check", "lipschitz_tau", "operator_norm", "residuals", "solve",
+        "grad_a", "kkt_check", "lipschitz_tau", "residuals", "solve",
         "step_a", "step_g", "update_multipliers",
     ),
     "tensor": (
-        "atv_norm", "diff_matrix", "mode_n_product", "mode_shuffle",
+        "atv_norm", "diff_matrix", "difference", "mode_n_product", "mode_shuffle",
         "mode_unshuffle", "tv_norm", "unfold",
     ),
     "tensorfile": ("load_cube", "read_envi", "read_tensor", "write_tensor"),

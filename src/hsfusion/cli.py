@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .config import KEYS, build_run_config, load_config_file, read_band_table
+from .config import KEYS, build_run_config, load_config_file
 from .errors import FusionError
 
 
@@ -29,17 +29,19 @@ def _config_from_args(args):
 
 
 def _parse_shape(text):
-    parts = text.lower().split("x")
-    if len(parts) != 3:
+    try:
+        shape = tuple(int(p) for p in text.lower().split("x"))
+    except ValueError:
+        shape = ()
+    if len(shape) != 3:
         raise ValueError(f"expected a I1xI2xI3 shape, got {text!r}")
-    shape = tuple(int(p) for p in parts)
     if any(d < 1 for d in shape):
         raise ValueError(f"shape entries must be positive, got {text!r}")
     return shape
 
 
 def _cmd_simulate(args):
-    from .degradation import IKONOS_BANDS, SceneSpec, make_degradation, simulate, synth_scene
+    from .degradation import SceneSpec, make_degradation, read_band_table, simulate, synth_scene
     from .tensorfile import load_cube, write_tensor
 
     cfg = _config_from_args(args)
@@ -61,8 +63,8 @@ def _cmd_simulate(args):
         z = load_cube(args.gt)
         if z.ndim != 3:
             raise ValueError(f"ground truth must be 3-way, got ndim={z.ndim}")
-    bands = IKONOS_BANDS if cfg.band_table is None else read_band_table(cfg.band_table)
-    deg = make_degradation(z.shape, cfg.factor, cfg.kernel_size, cfg.sigma, bands)
+    deg = make_degradation(z.shape, cfg.factor, cfg.kernel_size, cfg.sigma,
+                           read_band_table(cfg.band_table))
     x, y = simulate(z, deg)
     write_tensor(os.path.join(out_dir, "x.cmt"), x)
     write_tensor(os.path.join(out_dir, "y.cmt"), y)

@@ -65,7 +65,7 @@ class RunConfig(SolverConfig):
     factor: int = 8
     kernel_size: int = 9
     sigma: float = 3.3973
-    band_table: str | None = None
+    band_table: str = "ikonos"
     seed: int = 0
     peak: float | None = None
 
@@ -138,31 +138,3 @@ def build_run_config(file_values=None, overrides=None):
             if val is not None:
                 merged[key] = val
     return RunConfig(**merged)
-
-
-def read_band_table(path_or_name):
-    """Resolve a band table: a built-in name or a file of 'low high' lines."""
-    from .degradation import NAMED_BAND_TABLES
-
-    if path_or_name in NAMED_BAND_TABLES:
-        return NAMED_BAND_TABLES[path_or_name]
-    bands = []
-    with open(path_or_name, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path_or_name}:{lineno}: expected 'low_nm high_nm', got {raw!r}"
-                )
-            low, high = float(parts[0]), float(parts[1])
-            if not high > low:
-                raise ValueError(
-                    f"{path_or_name}:{lineno}: band upper bound must exceed lower"
-                )
-            bands.append((low, high))
-    if not bands:
-        raise ValueError(f"{path_or_name}: band table is empty")
-    return tuple(bands)

@@ -6,12 +6,14 @@ x = z x_1 P1 x_2 P2 (blur + decimate both spatial axes) and y = z x_3 P3
 selected-row circulant matrices; decimation keeps samples 0, factor,
 2*factor, ...
 
-Band tables are (low_nm, high_nm) pairs; a row of P3 averages uniformly over
-the wavelength samples falling inside the band (inclusive bounds). The
-Landsat-7 six-band table is exact; the four-band "ikonos" table is a
-rectangular approximation (the reference response is not public here).
+Band tables are (low_nm, high_nm) pairs, named here or read from a file by
+``read_band_table``; a row of P3 averages uniformly over the wavelength
+samples falling inside the band (inclusive bounds). The Landsat-7 six-band
+table is exact; the four-band "ikonos" table is a rectangular approximation
+(the reference response is not public here).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,34 @@ NAMED_BAND_TABLES = {"landsat7": LANDSAT7_BANDS, "ikonos": IKONOS_BANDS}
 
 WAVELENGTH_MIN_NM = 400.0
 WAVELENGTH_MAX_NM = 2500.0
+
+
+def read_band_table(path_or_name):
+    """Resolve a band table: a built-in name or a file of 'low_nm high_nm'
+    lines, each bound a finite number; errors name the file and line."""
+    if path_or_name in NAMED_BAND_TABLES:
+        return NAMED_BAND_TABLES[path_or_name]
+    bands = []
+    with open(path_or_name, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where, parts = f"{path_or_name}:{lineno}", line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{where}: expected 'low_nm high_nm', got {raw!r}")
+            try:
+                low, high = float(parts[0]), float(parts[1])
+            except ValueError:
+                low = high = math.nan
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ValueError(f"{where}: band bounds must be finite numbers, got {line!r}")
+            if not high > low:
+                raise ValueError(f"{where}: band upper bound must exceed lower")
+            bands.append((low, high))
+    if not bands:
+        raise ValueError(f"{path_or_name}: band table is empty")
+    return tuple(bands)
 
 
 def default_wavelengths(n):

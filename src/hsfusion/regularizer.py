@@ -34,11 +34,6 @@ def _from_norm_layout(t, n):
     return mode_unshuffle(t, 3 - n)
 
 
-def gradient_tensor(a, n):
-    """First-order difference of a along mode n: a x_n D_{I_n}."""
-    return difference(a, n)
-
-
 def tctv(a, modes=(1, 2)):
     """Correlated TV: mean of TNNs of the mode-n gradient tensors, n in modes."""
     modes = tuple(modes)
@@ -46,7 +41,7 @@ def tctv(a, modes=(1, 2)):
         raise ValueError("tctv needs at least one mode")
     if any(n not in (1, 2, 3) for n in modes):
         raise ValueError(f"modes must be a subset of {{1,2,3}}, got {modes}")
-    return float(np.mean([tnn(gradient_tensor(a, n)) for n in modes]))
+    return float(np.mean([tnn(difference(a, n)) for n in modes]))
 
 
 def nms_tctv(a, psi, grads=None):
@@ -58,7 +53,7 @@ def nms_tctv(a, psi, grads=None):
     caller already has them.
     """
     if grads is None:
-        grads = (gradient_tensor(a, 1), gradient_tensor(a, 2))
+        grads = (difference(a, 1), difference(a, 2))
     return 0.5 * sum(ntpnn(_to_norm_layout(g, n), psi) for n, g in enumerate(grads, 1))
 
 
@@ -101,7 +96,7 @@ def check_rank_sandwich(z, s, n, tol=1e-8):
     if n not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {n}")
     a = mode_n_product(np.asarray(z, dtype=float), s.T, 3)
-    grad = gradient_tensor(a, n)
+    grad = difference(a, n)
     return RankSandwichReport(
         mode=n,
         rank_z=tsvd_rank(_to_norm_layout(z, n), tol),
@@ -147,7 +142,7 @@ def check_tv_sandwich(a, psi, rel_slack=1e-10):
     boundedness/limit-slope constants; returns a report with both chains."""
     a = np.asarray(a, dtype=float)
     i1, i2, r = a.shape
-    grads = (gradient_tensor(a, 1), gradient_tensor(a, 2))
+    grads = (difference(a, 1), difference(a, 2))
     nms = nms_tctv(a, psi, grads)
     tv = tv_norm(a)
     atv = atv_norm(a)

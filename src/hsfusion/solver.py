@@ -27,6 +27,7 @@ from .errors import DimensionError, DivergenceError
 from .regularizer import _from_norm_layout, _to_norm_layout, nms_tctv
 from .tensor import (
     all_finite,
+    diff_norm_sq,
     difference,
     difference_adjoint,
     mode_n_product,
@@ -167,21 +168,6 @@ class Diagnostics:
         return d
 
 
-def operator_norm(m):
-    """Largest singular value, exact and deterministic (LAPACK).
-
-    Power iteration from a fixed start vector is not used here: the step
-    bound tau is a certificate, and for odd-n difference matrices the
-    all-ones start is exactly orthogonal to the oscillatory top eigenvector
-    of the Gram (it is an exact eigenvector of a smaller eigenvalue), so
-    iteration terminates on the wrong eigenpair and under-reports the norm.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.size == 0 or not m.any():
-        return 0.0
-    return float(np.linalg.norm(m, 2))
-
-
 def extract_subspace(x, r):
     """First r left singular vectors of the mode-3 unfolding of x."""
     x = np.asarray(x, dtype=float)
@@ -194,14 +180,6 @@ def extract_subspace(x, r):
     return np.ascontiguousarray(u[:, :r])
 
 
-def _diff_norm_sq(n):
-    """|D_n|^2, the largest eigenvalue of the path-graph Laplacian D_n^T D_n:
-    2 - 2 cos(pi (n-1)/n) = 4 sin^2(pi (n-1)/(2n))."""
-    if n < 2:
-        raise DimensionError(f"difference matrix needs n >= 2, got {n}")
-    return 4.0 * np.sin(np.pi * (n - 1) / (2 * n)) ** 2
-
-
 def lipschitz_tau(p1, p2, p3, s, mode="safe"):
     """Gradient step bound tau.
 
@@ -209,19 +187,16 @@ def lipschitz_tau(p1, p2, p3, s, mode="safe"):
     2(|P1|^2 |P2|^2 + |P3 S|^2 + |P1|^2 + |P2|^2); ``safe`` mode replaces
     the last two terms with |D_I1|^2 + |D_I2|^2, which are the operators the
     gradient actually contains, making the Lipschitz inequality certifiable.
-    Operator norms are exact (see operator_norm); |D_n|^2 is in closed form.
+    The norms are exact (LAPACK; |D_n|^2 in closed form): tau is a certificate.
     """
     if mode not in TAU_MODES:
         raise ValueError(f"tau mode must be one of {TAU_MODES}, got {mode!r}")
-    n1 = operator_norm(p1)
-    n2 = operator_norm(p2)
-    nq = operator_norm(np.asarray(p3) @ np.asarray(s))
+    p1, p2 = np.asarray(p1), np.asarray(p2)
+    n1, n2, nq = (float(np.linalg.norm(m, 2)) for m in (p1, p2, np.asarray(p3) @ np.asarray(s)))
     if mode == "paper":
         extra = n1**2 + n2**2
     else:
-        extra = (
-            _diff_norm_sq(np.asarray(p1).shape[1]) + _diff_norm_sq(np.asarray(p2).shape[1])
-        )
+        extra = diff_norm_sq(p1.shape[1]) + diff_norm_sq(p2.shape[1])
     return float(2.0 * (n1**2 * n2**2 + nq**2 + extra))
 
 
@@ -326,7 +301,7 @@ def _trace_stats(trace):
     return float(arr.max()), ratio
 
 
-def kkt_check(state, psi, tau, eps, res, grad, diagnostics):
+def kkt_check(state, psi, res, grad, diagnostics):
     """First-order optimality report for a finished state.
 
     Checks (i) the four constraint residuals against 10*eps, (ii) the norm of
@@ -336,8 +311,9 @@ def kkt_check(state, psi, tau, eps, res, grad, diagnostics):
     data-multiplier norm traces, with their final/median growth ratios
     reported. ``res`` (the :func:`residuals` norms) and ``grad``
     (:func:`grad_a`) are those of ``state``; ``diagnostics`` holds the run's
-    multiplier norm traces.
+    tau, its effective eps and its multiplier norm traces.
     """
+    tau, eps = diagnostics.tau, diagnostics.eps
     gnorm = float(np.linalg.norm(grad))
     dev1, kept1 = _subgradient_deviation(
         _to_norm_layout(state.g1, 1), _to_norm_layout(state.rho * state.u1, 1), psi)
@@ -382,10 +358,15 @@ def solve(x, y, p1, p2, p3, config):
     ``diagnostics.converged`` False.
     """
     # aligned C-order inputs: a misaligned buffer changes the products' last bits
-    x, y, p1, p2, p3 = (
-        require_finite(np.require(v, float, ["C", "A"]), name)
-        for v, name in ((x, "HSI"), (y, "MSI"), (p1, "P1"), (p2, "P2"), (p3, "P3"))
-    )
+    inputs = []
+    for v, name, ndim in ((x, "HSI", 3), (y, "MSI", 3),
+                          (p1, "P1", 2), (p2, "P2", 2), (p3, "P3", 2)):
+        v = require_finite(np.require(v, float, ["C", "A"]), name)
+        if v.ndim != ndim:
+            kind = "a 3-way tensor" if ndim == 3 else "a matrix"
+            raise DimensionError(f"{name}: expected {kind}, got ndim={v.ndim}")
+        inputs.append(v)
+    x, y, p1, p2, p3 = inputs
     s = extract_subspace(x, config.r)
     problem = FusionProblem(x=x, y=y, p1=p1, p2=p2, p3=p3, s=s)
     psi = LogSurrogate(config.gamma)
@@ -440,6 +421,6 @@ def solve(x, y, p1, p2, p3, config):
         diag.record(wall_time=time.perf_counter() - t_start)
     diag.iterations = state.iter
     diag.converged = bool(res.max() <= eps)
-    diag.kkt = kkt_check(state, psi, tau, eps, res, grad, diag)
+    diag.kkt = kkt_check(state, psi, res, grad, diag)
     z_hat = mode_n_product(state.a, s, 3)
     return z_hat, diag

@@ -1,4 +1,4 @@
-"""Dense 3-way tensor primitives: mode-n algebra, mode shuffles, TV norms.
+"""Dense 3-way tensor primitives: mode-n algebra, D_n, mode shuffles, TV norms.
 
 Tensors are plain float64 numpy arrays of shape (I1, I2, I3) in C (row-major)
 order; matrices are 2-d float64 arrays. All functions are pure and never
@@ -25,12 +25,23 @@ _SHUFFLE_AXES = {1: (1, 2, 0), 2: (0, 2, 1)}
 SLAB_ELEMENTS = 1 << 17
 
 
-def diff_matrix(n):
-    """(n-1) x n first-order difference matrix: 1 on the diagonal, -1 beside it."""
+def _check_diff_size(n):
     if n < 2:
         raise DimensionError(f"difference matrix needs n >= 2, got {n}")
+
+
+def diff_matrix(n):
+    """(n-1) x n first-order difference matrix: 1 on the diagonal, -1 beside it."""
+    _check_diff_size(n)
     eye = np.eye(n)
     return eye[:-1] - eye[1:]
+
+
+def diff_norm_sq(n):
+    """|D_n|^2, the largest eigenvalue of the path-graph Laplacian D_n^T D_n:
+    2 - 2 cos(pi (n-1)/n) = 4 sin^2(pi (n-1)/(2n))."""
+    _check_diff_size(n)
+    return 4.0 * np.sin(np.pi * (n - 1) / (2 * n)) ** 2
 
 
 def _check_mode(t, mode):
@@ -45,8 +56,7 @@ def difference(t, mode):
     ``mode_n_product(t, diff_matrix(I_n), mode)`` bit for bit."""
     t = np.asarray(t, dtype=float)
     _check_mode(t, mode)
-    if t.shape[mode - 1] < 2:
-        raise DimensionError(f"difference matrix needs n >= 2, got {t.shape[mode - 1]}")
+    _check_diff_size(t.shape[mode - 1])
     w = np.moveaxis(t, mode - 1, 0)
     return np.moveaxis(w[:-1] - w[1:], 0, mode - 1)
 
@@ -57,8 +67,7 @@ def difference_adjoint(v, mode):
     equals ``mode_n_product(v, diff_matrix(I_n).T, mode)`` bit for bit."""
     v = np.asarray(v, dtype=float)
     _check_mode(v, mode)
-    if v.shape[mode - 1] < 1:
-        raise DimensionError(f"difference matrix needs n >= 2, got {v.shape[mode - 1] + 1}")
+    _check_diff_size(v.shape[mode - 1] + 1)
     shape = list(v.shape)
     shape[mode - 1] += 1
     out = np.zeros(shape)

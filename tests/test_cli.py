@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,8 +13,8 @@ import pytest
 
 from hsfusion import SolverConfig, read_tensor, write_tensor
 from hsfusion.cli import _build_parser, main
-from hsfusion.config import KEYS, RunConfig, build_run_config, parse_config_text, read_band_table
-from hsfusion.degradation import IKONOS_BANDS, LANDSAT7_BANDS
+from hsfusion.config import KEYS, RunConfig, build_run_config, parse_config_text
+from hsfusion.degradation import IKONOS_BANDS, LANDSAT7_BANDS, read_band_table
 
 
 # ------------------------------------------------------------------ config
@@ -30,7 +31,7 @@ def test_config_defaults():
     assert cfg.factor == 8
     assert cfg.kernel_size == 9
     assert cfg.sigma == 3.3973
-    assert cfg.r is None and cfg.peak is None and cfg.band_table is None
+    assert cfg.r is None and cfg.peak is None and cfg.band_table == "ikonos"
 
 
 def test_config_text_parsing_and_comments():
@@ -128,6 +129,15 @@ def test_band_table_names_and_files(tmp_path):
         read_band_table(str(bad))
 
 
+@pytest.mark.parametrize("line", ["450 abc", "nan 500", "-inf inf"])
+def test_band_table_rejects_bounds_that_are_not_finite_numbers(tmp_path, line):
+    path = tmp_path / "bands.txt"
+    path.write_text(f"400 500  # fine\n{line}\n")
+    want = f"{path}:2: band bounds must be finite numbers, got {line!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        read_band_table(str(path))
+
+
 # ------------------------------------------------------------------ pipeline
 
 
@@ -187,6 +197,25 @@ def test_simulate_deterministic_bytes(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_simulate_defaults_to_the_ikonos_band_table(tmp_path, capsys):
+    args = ["simulate", "--synthetic", "16x16x32", "--r", "2", "--factor", "2",
+            "--kernel-size", "3", "--seed", "9"]
+    for out, extra in (("default", ()), ("ikonos", ("--band-table", "ikonos"))):
+        code, _, _ = _run(capsys, *args, *extra, "--out-dir", str(tmp_path / out))
+        assert code == 0
+    for name in ("z.cmt", "x.cmt", "y.cmt", "p1.cmt", "p2.cmt", "p3.cmt"):
+        default, ikonos = (tmp_path / out / name for out in ("default", "ikonos"))
+        assert default.read_bytes() == ikonos.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["16x16x", "16x16", "16x16x4x2", "16xax4", "x"])
+def test_simulate_rejects_unparsable_shape_text(tmp_path, capsys, text):
+    code, _, err = _run(capsys, "simulate", "--synthetic", text, "--r", "2",
+                        "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == f"error: expected a I1xI2xI3 shape, got {text!r}\n"
+
+
 def test_simulate_rejects_both_sources(tmp_path, capsys):
     code, _, err = _run(
         capsys, "simulate", "--gt", "a.cmt", "--synthetic", "4x4x4",
@@ -243,6 +272,19 @@ def test_fuse_deterministic_output(pipeline_dir, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert out2.read_bytes() == (pipeline_dir / "z_hat.cmt").read_bytes()
+
+
+def test_fuse_names_an_operator_of_the_wrong_rank(pipeline_dir, tmp_path, capsys):
+    write_tensor(tmp_path / "p1.cmt", read_tensor(pipeline_dir / "p1.cmt")[..., None])
+    code, _, err = _run(
+        capsys, "fuse",
+        "--x", str(pipeline_dir / "x.cmt"), "--y", str(pipeline_dir / "y.cmt"),
+        "--p1", str(tmp_path / "p1.cmt"), "--p2", str(pipeline_dir / "p2.cmt"),
+        "--p3", str(pipeline_dir / "p3.cmt"),
+        "--r", "2", "--out", str(tmp_path / "z.cmt"),
+    )
+    assert code == 1
+    assert err == "error: P1: expected a matrix, got ndim=3\n"
 
 
 def test_fuse_zero_inputs_give_zero_output(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hsfusion import (
     LogSurrogate,
     check_rank_sandwich,
     check_tv_sandwich,
-    gradient_tensor,
+    difference,
     mode_n_product,
     mode_shuffle,
     nms_tctv,
@@ -27,13 +27,13 @@ def _semi_unitary(rng, rows, cols):
 
 
 def test_gradient_constant_tensor():
-    assert not gradient_tensor(np.full((4, 5, 3), 2.0), 1).any()
-    assert not gradient_tensor(np.full((4, 5, 3), 2.0), 2).any()
+    assert not difference(np.full((4, 5, 3), 2.0), 1).any()
+    assert not difference(np.full((4, 5, 3), 2.0), 2).any()
 
 
 def test_gradient_hand_value():
     t = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-    got = gradient_tensor(t, 1)
+    got = difference(t, 1)
     # matrix oracle: D_2 @ [[1,2],[3,4]] = [[-2,-2]]
     assert np.array_equal(got[:, :, 0], [[-2.0, -2.0]])
 
@@ -43,14 +43,14 @@ def test_gradient_linearity():
     a = rng.standard_normal((4, 4, 2))
     b = rng.standard_normal((4, 4, 2))
     for n in (1, 2):
-        lhs = gradient_tensor(a + b, n)
-        rhs = gradient_tensor(a, n) + gradient_tensor(b, n)
+        lhs = difference(a + b, n)
+        rhs = difference(a, n) + difference(b, n)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
 def test_gradient_rejects_short_mode():
     with pytest.raises(DimensionError):
-        gradient_tensor(np.zeros((1, 4, 2)), 1)
+        difference(np.zeros((1, 4, 2)), 1)
 
 
 def test_tctv_constant_is_zero():
@@ -60,13 +60,13 @@ def test_tctv_constant_is_zero():
 def test_tctv_single_mode_is_gradient_tnn():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((4, 4, 3))
-    assert tctv(a, (1,)) == tnn(gradient_tensor(a, 1))
+    assert tctv(a, (1,)) == tnn(difference(a, 1))
 
 
 def test_tctv_two_modes_matches_per_term():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4, 3))
-    want = 0.5 * (tnn(gradient_tensor(a, 1)) + tnn(gradient_tensor(a, 2)))
+    want = 0.5 * (tnn(difference(a, 1)) + tnn(difference(a, 2)))
     assert tctv(a, (1, 2)) == pytest.approx(want, rel=1e-12)
 
 
@@ -83,7 +83,7 @@ def _nms_oracle(a, psi):
     """Composition oracle: shuffle + per-slice SVD + surrogate summation."""
     total = 0.0
     for n in (1, 2):
-        g = mode_shuffle(gradient_tensor(a, n), 3 - n)
+        g = mode_shuffle(difference(a, n), 3 - n)
         gh = np.fft.fft(g, axis=2)
         acc = 0.0
         for f in range(g.shape[2]):

@@ -15,8 +15,8 @@ from hsfusion import (
     SolverConfig,
     bicubic_upsample,
     diff_matrix,
+    difference,
     extract_subspace,
-    gradient_tensor,
     kkt_check,
     lipschitz_tau,
     make_degradation,
@@ -25,7 +25,6 @@ from hsfusion import (
     mode_unshuffle,
     ntpnn,
     ntpnn_prox,
-    operator_norm,
     psnr,
     simulate,
     solve,
@@ -88,7 +87,7 @@ def _random_state(rng, problem, rho=0.8):
 
 def _tensors(state, problem):
     """The residual tensors of ``state``, from its own differences of a."""
-    diffs = (gradient_tensor(state.a, 1), gradient_tensor(state.a, 2))
+    diffs = (difference(state.a, 1), difference(state.a, 2))
     return _residual_tensors(state, problem, diffs)
 
 
@@ -152,25 +151,6 @@ def test_extract_subspace_rejects_bad_rank():
 # ---------------------------------------------------------------- tau
 
 
-def test_operator_norm_basics():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        m = rng.standard_normal((rng.integers(2, 8), rng.integers(2, 8)))
-        norm = operator_norm(m)
-        # upper-bounds the gain of random unit vectors, attained by the SVD one
-        for _ in range(20):
-            v = rng.standard_normal(m.shape[1])
-            assert np.linalg.norm(m @ v) <= norm * np.linalg.norm(v) * (1 + 1e-12)
-        _, sing, vt = np.linalg.svd(m)
-        assert np.linalg.norm(m @ vt[0]) == pytest.approx(norm, rel=1e-12)
-    assert operator_norm(np.zeros((3, 4))) == 0.0
-    # odd-n difference matrices defeated the all-ones power iteration start;
-    # the exact norm must match the analytic eigenvalue
-    for n in (3, 5, 9, 64):
-        want = np.sqrt(2.0 - 2.0 * np.cos(np.pi * (n - 1) / n))
-        assert operator_norm(diff_matrix(n)) == pytest.approx(want, rel=1e-12)
-
-
 def test_lipschitz_tau_unit_operators_paper_mode():
     eye = np.eye(4)
     p3 = np.eye(4)
@@ -186,7 +166,7 @@ def test_lipschitz_tau_safe_mode_analytic_difference_norm():
         p1 = np.zeros((8, n))
         p2 = np.zeros((8, n))
         tau = lipschitz_tau(p1, p2, p3, s, "safe")
-        d_sq = operator_norm(diff_matrix(n)) ** 2
+        d_sq = np.linalg.norm(diff_matrix(n), 2) ** 2
         assert tau == pytest.approx(2.0 * (0.0 + 0.0 + 2 * d_sq), rel=1e-14)
 
 
@@ -217,8 +197,8 @@ def test_grad_zero_at_feasible_point_with_zero_multipliers():
     state = replace(
         initial_state(feas, 1.0),
         a=a,
-        g1=gradient_tensor(a, 1),
-        g2=gradient_tensor(a, 2),
+        g1=difference(a, 1),
+        g2=difference(a, 2),
     )
     g = grad_a(state, feas, _tensors(state, feas))
     assert np.abs(g).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
@@ -352,8 +332,8 @@ def test_step_a_zero_gradient_fixed_point():
     state = replace(
         initial_state(feas, 1.0),
         a=a,
-        g1=gradient_tensor(a, 1),
-        g2=gradient_tensor(a, 2),
+        g1=difference(a, 1),
+        g2=difference(a, 2),
     )
     new = step_a(state, 5.0, grad_a(state, feas, _tensors(state, feas)))
     assert np.allclose(new.a, a, atol=1e-12)
@@ -394,9 +374,9 @@ def test_step_g_tracks_gradient_for_huge_rho():
     state = replace(_random_state(rng, prob), rho=1e9)
     state = replace(state, u1=np.zeros_like(state.u1), u2=np.zeros_like(state.u2))
     for n in (1, 2):
-        new = step_g(state, n, PSI, gradient_tensor(state.a, n))
+        new = step_g(state, n, PSI, difference(state.a, n))
         g = new.g1 if n == 1 else new.g2
-        target = gradient_tensor(state.a, n)
+        target = difference(state.a, n)
         assert np.linalg.norm(g - target) / np.linalg.norm(target) <= 1e-4
 
 
@@ -405,7 +385,7 @@ def test_step_g_zero_target_gives_zero():
     prob = _random_problem(rng)
     state = initial_state(prob, 1.0)  # a = 0, u = 0 -> prox target 0
     for n in (1, 2):
-        new = step_g(state, n, PSI, gradient_tensor(state.a, n))
+        new = step_g(state, n, PSI, difference(state.a, n))
         assert not (new.g1 if n == 1 else new.g2).any()
 
 
@@ -414,7 +394,7 @@ def test_step_g_minimizes_subproblem():
     prob = _random_problem(rng, big=(5, 5, 4), small=(2, 3, 2), r=2)
     state = _random_state(rng, prob, rho=0.5)
     for n in (1, 2):
-        new = step_g(state, n, PSI, gradient_tensor(state.a, n))
+        new = step_g(state, n, PSI, difference(state.a, n))
         g_new = new.g1 if n == 1 else new.g2
         g_old = state.g1 if n == 1 else state.g2
         f_new = _g_subproblem_objective(g_new, n, state, prob, PSI)
@@ -438,8 +418,8 @@ def test_update_multipliers_feasible_point_only_grows_rho():
     state = replace(
         initial_state(feas, 0.7),
         a=a,
-        g1=gradient_tensor(a, 1),
-        g2=gradient_tensor(a, 2),
+        g1=difference(a, 1),
+        g2=difference(a, 2),
     )
     new = update_multipliers(state, 1.3, _tensors(state, feas))
     # the multipliers m = rho u stay where they were
@@ -490,8 +470,8 @@ def test_residuals_zero_at_feasible_state():
     state = replace(
         initial_state(feas, 1.0),
         a=a,
-        g1=gradient_tensor(a, 1),
-        g2=gradient_tensor(a, 2),
+        g1=difference(a, 1),
+        g2=difference(a, 2),
     )
     assert residuals(_tensors(state, feas)).max() <= 1e-12
 
@@ -779,6 +759,19 @@ def test_solve_rejects_each_edge_entry_of_an_input(which, name, index):
         solve(*inputs, SolverConfig(r=2))
 
 
+@pytest.mark.parametrize("which, name, kind", [
+    (0, "HSI", "a 3-way tensor"), (1, "MSI", "a 3-way tensor"),
+    (2, "P1", "a matrix"), (3, "P2", "a matrix"), (4, "P3", "a matrix")])
+def test_solve_names_an_input_of_the_wrong_rank(which, name, kind):
+    _, deg, x, y = _small_instance()
+    inputs = [x, y, deg.p1, deg.p2, deg.p3]
+    # a cube loses its last axis, a matrix gains one
+    inputs[which] = inputs[which][..., 0] if which < 2 else inputs[which][..., None]
+    ndim = 2 if which < 2 else 3
+    with pytest.raises(DimensionError, match=f"^{name}: expected {kind}, got ndim={ndim}$"):
+        solve(*inputs, SolverConfig(r=2))
+
+
 @pytest.mark.parametrize("max_iter", [1, 5])
 def test_solve_takes_each_difference_once_per_iteration(monkeypatch, max_iter):
     # the proxes, the residuals and the objective trace share one difference
@@ -907,7 +900,7 @@ def test_kkt_zero_data_exact_point():
     )
     state = initial_state(zero, 1.0)
     tensors = _tensors(state, zero)
-    rep = kkt_check(state, PSI, 8.0, 1e-5, residuals(tensors), grad_a(state, zero, tensors),
+    rep = kkt_check(state, PSI, residuals(tensors), grad_a(state, zero, tensors),
                     Diagnostics(tau=8.0, tau_mode="safe", eps=1e-5))
     assert rep.passed
     assert rep.grad_norm == 0.0

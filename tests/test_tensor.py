@@ -15,9 +15,11 @@ from hsfusion import (
     tv_norm,
     unfold,
 )
+from hsfusion.solver import lipschitz_tau
 from hsfusion.tensor import (
     SLAB_ELEMENTS,
     all_finite,
+    diff_norm_sq,
     difference,
     difference_adjoint,
     require_finite,
@@ -190,6 +192,19 @@ def test_difference_stencils_equal_dense_products(shape, mode, seed):
 def test_difference_adjoint_rejects_empty_mode():
     with pytest.raises(DimensionError):
         difference_adjoint(np.zeros((3, 0, 2)), 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: diff_matrix(1),
+    lambda: difference(np.zeros((1, 4, 2)), 1),
+    lambda: difference_adjoint(np.zeros((3, 0, 2)), 2),
+    lambda: diff_norm_sq(1),
+    lambda: lipschitz_tau(np.ones((4, 1)), np.eye(4), np.eye(2), np.eye(2), "safe"),
+], ids=["diff_matrix", "difference", "difference_adjoint", "diff_norm_sq", "lipschitz_tau"])
+def test_difference_operator_has_one_size_rule(call):
+    # one size check serves every user of D_n, so each says the same
+    with pytest.raises(DimensionError, match=r"^difference matrix needs n >= 2, got 1$"):
+        call()
 
 
 def test_mode_product_rejects_mismatch():
