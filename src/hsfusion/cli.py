@@ -135,7 +135,7 @@ def _report_fault(report, csv):
     number and trace length it reads (the traces only with ``csv``)."""
     if not isinstance(report, dict) or not isinstance(report.get("kkt") or {}, dict):
         return "not a JSON object with a 'kkt' object"
-    traces = _TRACES if csv else _TRACES[:4]
+    traces = _TRACES if csv else ()
     missing = [key for key in ("converged", "iterations", *traces) if key not in report]
     kkt = report.get("kkt") or {}
     if report.get("converged") and kkt.get("passed"):
@@ -143,7 +143,7 @@ def _report_fault(report, csv):
                     if not isinstance(kkt.get(key), (int, float))]
     if missing:
         return f"no usable {missing[0]!r}"
-    for key in traces if csv else ():
+    for key in traces:
         trace = report[key]
         if not (isinstance(trace, list) and len(trace) == report["iterations"]
                 and all(isinstance(v, (int, float)) for v in trace)):

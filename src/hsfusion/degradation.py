@@ -81,8 +81,8 @@ def gaussian_kernel_1d(size, sigma):
     """Odd-length Gaussian taps exp(-k^2 / (2 sigma^2)) normalized to sum 1."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and positive, got {size}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     k = np.arange(size, dtype=float) - (size - 1) / 2
     w = np.exp(-(k * k) / (2.0 * sigma * sigma))
     return w / w.sum()

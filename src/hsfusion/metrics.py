@@ -246,9 +246,9 @@ def bicubic_upsample(x, factor):
     x = np.asarray(x, dtype=float)
     if x.ndim != 3:
         raise DimensionError(f"expected a 3-way tensor, got ndim={x.ndim}")
+    if not (float(factor).is_integer() and factor >= 1):
+        raise ValueError(f"factor must be a positive integer, got {factor}")
     factor = int(factor)
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
     if factor == 1:
         return x.copy()
     b1 = _bicubic_matrix(x.shape[0], factor)

@@ -75,16 +75,16 @@ class FusionProblem:
 
 @dataclass(frozen=True)
 class SolverState:
-    """All iterates of one solve; immutable, updated by replacement. The
-    multiplier of each constraint is rho times its scaled dual u."""
+    """All iterates of one solve; immutable, updated by replacement.
+
+    ``g[n - 1]`` is the split of D_n a, and ``u`` holds the scaled duals of
+    the constraints (x, y, g1, g2) in the order of :func:`_residual_tensors`;
+    the multiplier of each constraint is rho times its scaled dual.
+    """
 
     a: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    ux: np.ndarray
-    uy: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
+    g: tuple
+    u: tuple
     rho: float
     iter: int = 0
 
@@ -141,7 +141,7 @@ class Diagnostics:
     tau: float
     tau_mode: str
     eps: float
-    eps_mode: str = "absolute"
+    eps_mode: str
     iterations: int = 0
     converged: bool = False
     res_x: list = field(default_factory=list)
@@ -203,16 +203,12 @@ def lipschitz_tau(p1, p2, p3, s, mode="safe"):
 def initial_state(problem, rho0):
     """Zero-initialized state per the algorithm's starting point."""
     i1, i2, r = problem.spatial_shape
+    g = (np.zeros((i1 - 1, i2, r)), np.zeros((i1, i2 - 1, r)))
     return SolverState(
         a=np.zeros((i1, i2, r)),
-        g1=np.zeros((i1 - 1, i2, r)),
-        g2=np.zeros((i1, i2 - 1, r)),
-        ux=np.zeros_like(problem.x),
-        uy=np.zeros_like(problem.y),
-        u1=np.zeros((i1 - 1, i2, r)),
-        u2=np.zeros((i1, i2 - 1, r)),
+        g=g,
+        u=(np.zeros_like(problem.x), np.zeros_like(problem.y), *map(np.zeros_like, g)),
         rho=float(rho0),
-        iter=0,
     )
 
 
@@ -222,12 +218,13 @@ def grad_a(state, problem, tensors):
     :func:`_residual_tensors`), u its scaled duals and A^T the adjoint of the
     four constraint maps."""
     rx, ry, r1, r2 = tensors
+    ux, uy, u1, u2 = state.u
     # S^T first: it shrinks the tensor that the spatial back-projections enlarge
-    xt = mode_n_product(rx + state.ux, problem.s.T, 3)
+    xt = mode_n_product(rx + ux, problem.s.T, 3)
     back = mode_n_product(mode_n_product(xt, problem.p1.T, 1), problem.p2.T, 2)
-    back += mode_n_product(ry + state.uy, problem.q.T, 3)
-    back += difference_adjoint(r1 + state.u1, 1)
-    back += difference_adjoint(r2 + state.u2, 2)
+    back += mode_n_product(ry + uy, problem.q.T, 3)
+    back += difference_adjoint(r1 + u1, 1)
+    back += difference_adjoint(r2 + u2, 2)
     return -2.0 * back
 
 
@@ -235,9 +232,8 @@ def l1_objective(state, problem):
     """Smooth augmented objective in a, the sum of |r + u|_F^2 over the four
     constraints and their scaled duals (the quantity grad_a differentiates)."""
     diffs = (difference(state.a, 1), difference(state.a, 2))
-    us = (state.ux, state.uy, state.u1, state.u2)
     return float(sum(np.sum((r + u) ** 2)
-                     for r, u in zip(_residual_tensors(state, problem, diffs), us)))
+                     for r, u in zip(_residual_tensors(state, problem, diffs), state.u)))
 
 
 def step_a(state, tau, grad):
@@ -250,15 +246,14 @@ def step_a(state, tau, grad):
 
 def step_g(state, n, psi, diff):
     """Exact g_n update: the shuffled singular-value prox, at weight rho, of
-    the target D_n a - u_n; ``diff`` is ``difference(state.a, n)``."""
-    u = state.u1 if n == 1 else state.u2
+    the target D_n a - u_n; ``diff`` is ``difference(state.a, n)``. It
+    replaces ``g[n - 1]`` alone."""
     # the target is not kept past its shuffled copy: with the caller's
     # differences live, that keeps the prox's peak memory down
-    shrunk = ntpnn_prox(_to_norm_layout(diff - u, n), state.rho, psi)
-    g_new = _from_norm_layout(shrunk, n)
-    if n == 1:
-        return replace(state, g1=g_new)
-    return replace(state, g2=g_new)
+    shrunk = ntpnn_prox(_to_norm_layout(diff - state.u[n + 1], n), state.rho, psi)
+    g = list(state.g)
+    g[n - 1] = _from_norm_layout(shrunk, n)
+    return replace(state, g=tuple(g))
 
 
 def _residual_tensors(state, problem, diffs):
@@ -268,8 +263,7 @@ def _residual_tensors(state, problem, diffs):
     return (
         problem.x - mode_n_product(a_lo, problem.s, 3),
         problem.y - mode_n_product(state.a, problem.q, 3),
-        state.g1 - diffs[0],
-        state.g2 - diffs[1],
+        *(g - d for g, d in zip(state.g, diffs)),
     )
 
 
@@ -282,10 +276,8 @@ def update_multipliers(state, nu, tensors):
     """Dual ascent along the residual ``tensors`` of ``state``, then
     geometric penalty growth: u <- (u + r)/nu and rho <- nu rho, which is
     m <- m + rho r for the multipliers m = rho u."""
-    ux, uy, u1, u2 = ((u + r) / nu for u, r in zip(
-        (state.ux, state.uy, state.u1, state.u2), tensors))
-    return replace(state, ux=ux, uy=uy, u1=u1, u2=u2, rho=state.rho * nu,
-                   iter=state.iter + 1)
+    return replace(state, u=tuple((u + r) / nu for u, r in zip(state.u, tensors)),
+                   rho=state.rho * nu, iter=state.iter + 1)
 
 
 def _trace_stats(trace):
@@ -315,10 +307,9 @@ def kkt_check(state, psi, res, grad, diagnostics):
     """
     tau, eps = diagnostics.tau, diagnostics.eps
     gnorm = float(np.linalg.norm(grad))
-    dev1, kept1 = _subgradient_deviation(
-        _to_norm_layout(state.g1, 1), _to_norm_layout(state.rho * state.u1, 1), psi)
-    dev2, kept2 = _subgradient_deviation(
-        _to_norm_layout(state.g2, 2), _to_norm_layout(state.rho * state.u2, 2), psi)
+    (dev1, kept1), (dev2, kept2) = (
+        _subgradient_deviation(_to_norm_layout(g, n), _to_norm_layout(state.rho * u, n), psi)
+        for n, g, u in zip((1, 2), state.g, state.u[2:]))
     mx_max, mx_ratio = _trace_stats(diagnostics.mx_norm)
     my_max, my_ratio = _trace_stats(diagnostics.my_norm)
     # The theorem's hypothesis. Finite, non-overflowing traces gate the pass;
@@ -395,8 +386,8 @@ def solve(x, y, p1, p2, p3, config):
             # the differences of the new a serve both proxes, the residuals
             # and the objective trace
             diffs = (difference(state.a, 1), difference(state.a, 2))
-            state = step_g(state, 1, psi, diffs[0])
-            state = step_g(state, 2, psi, diffs[1])
+            for n, diff in enumerate(diffs, 1):
+                state = step_g(state, n, psi, diff)
             rho_used = state.rho
             tensors = _residual_tensors(state, problem, diffs)
             state = update_multipliers(state, config.nu, tensors)
@@ -406,8 +397,7 @@ def solve(x, y, p1, p2, p3, config):
             grad = grad_a(state, problem, tensors)
             # the multiplier norms |m| = rho |u|
             norms = [np.linalg.norm(grad)] + [
-                state.rho * np.linalg.norm(u)
-                for u in (state.ux, state.uy, state.u1, state.u2)]
+                state.rho * np.linalg.norm(u) for u in state.u]
         if not (np.isfinite(res).all() and np.isfinite(norms).all()):
             raise DivergenceError(
                 f"a residual, gradient or multiplier norm became non-finite "
@@ -417,7 +407,7 @@ def solve(x, y, p1, p2, p3, config):
                     rho=rho_used, objective=nms_tctv(state.a, psi, diffs),
                     grad_norm=norms[0], mx_norm=norms[1], my_norm=norms[2])
         # freed now, so they add nothing to the peak of the next step or of z_hat
-        del diffs
+        del diffs, diff
         diag.record(wall_time=time.perf_counter() - t_start)
     diag.iterations = state.iter
     diag.converged = bool(res.max() <= eps)

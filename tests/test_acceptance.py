@@ -153,12 +153,13 @@ def _random_problem_and_state(rng, big, small, r):
     state = replace(
         initial_state(prob, rho0=float(10.0 ** rng.uniform(-2, 1))),
         a=rng.standard_normal((i1, i2, r)),
-        g1=rng.standard_normal((i1 - 1, i2, r)),
-        g2=rng.standard_normal((i1, i2 - 1, r)),
-        ux=rng.standard_normal((j1, j2, i3)),
-        uy=rng.standard_normal((i1, i2, j3)),
-        u1=rng.standard_normal((i1 - 1, i2, r)),
-        u2=rng.standard_normal((i1, i2 - 1, r)),
+        g=(rng.standard_normal((i1 - 1, i2, r)), rng.standard_normal((i1, i2 - 1, r))),
+        u=(
+            rng.standard_normal((j1, j2, i3)),
+            rng.standard_normal((i1, i2, j3)),
+            rng.standard_normal((i1 - 1, i2, r)),
+            rng.standard_normal((i1, i2 - 1, r)),
+        ),
     )
     return prob, state
 

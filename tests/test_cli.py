@@ -520,6 +520,19 @@ def test_diagnose_csv_rejects_a_report_without_a_trace(tmp_path, capsys, key):
     assert repr(key) in err and not csv_path.exists()
 
 
+def test_diagnose_reads_no_trace_without_csv(tmp_path, capsys):
+    # the summary lines read no trace, so only --csv needs them
+    report = _report(2, converged=False)
+    del report["res_x"]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = _run(capsys, "diagnose", "--report", str(path))
+    assert code == 0 and "KKT: NOT CONVERGED (max_iter)" in out
+    csv_path = tmp_path / "curves.csv"
+    err = _diagnose_fails(capsys, tmp_path, report, "--csv", str(csv_path))
+    assert "'res_x'" in err and not csv_path.exists()
+
+
 @pytest.mark.parametrize("key", ["residual_g2", "grad_norm", "subgrad_dev_g1"])
 def test_diagnose_pass_line_rejects_a_kkt_without_its_fields(tmp_path, capsys, key):
     fields = ("residual_x", "residual_y", "residual_g1", "residual_g2", "grad_norm",

@@ -47,6 +47,15 @@ def test_kernel_rejects_even_size():
         gaussian_kernel_1d(8, 1.0)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, np.nan, 0.0])
+def test_kernel_rejects_a_sigma_that_is_not_positive_and_finite(sigma):
+    # an infinite sigma would flatten the taps into a box kernel
+    with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+        gaussian_kernel_1d(5, sigma)
+    with pytest.raises(ValueError, match=f"got {sigma}"):
+        make_degradation((8, 8, 4), 2, 5, sigma, ((400.0, 2500.0),))
+
+
 def test_spatial_factor_one_identity():
     assert np.array_equal(build_spatial_degradation(5, 1, [1.0]), np.eye(5))
 

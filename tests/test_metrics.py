@@ -335,6 +335,12 @@ def test_ssim_matches_oracle_across_slab_edges():
     assert ssim(ref, est, peak=1.0) == pytest.approx(want, rel=1e-10)
 
 
+def test_ssim_rejects_an_infinite_window_sigma():
+    t = np.zeros((16, 16, 1))
+    with pytest.raises(ValueError, match="sigma must be positive and finite, got inf"):
+        ssim(t, t, 1.0, win_sigma=np.inf)
+
+
 def test_ssim_rejects_small_images():
     with pytest.raises(DimensionError):
         ssim(np.zeros((8, 20, 1)), np.zeros((8, 20, 1)), 1.0)
@@ -344,6 +350,16 @@ def test_bicubic_factor_one_identity():
     rng = np.random.default_rng(12)
     t = rng.random((5, 6, 3))
     assert np.array_equal(bicubic_upsample(t, 1), t)
+
+
+@pytest.mark.parametrize("factor", [2.5, 0.5, 0])
+def test_bicubic_rejects_a_factor_that_is_not_a_positive_integer(factor):
+    # a truncated 2.5 would upsample by 2
+    t = np.random.default_rng(16).random((4, 4, 2))
+    with pytest.raises(ValueError, match=f"factor must be a positive integer, got {factor}"):
+        bicubic_upsample(t, factor)
+    # an integral float names the same factor
+    assert np.array_equal(bicubic_upsample(t, 4.0), bicubic_upsample(t, 4))
 
 
 def test_bicubic_constant_band():

@@ -76,12 +76,13 @@ def _random_state(rng, problem, rho=0.8):
     return replace(
         state,
         a=rng.standard_normal((i1, i2, r)),
-        g1=rng.standard_normal((i1 - 1, i2, r)),
-        g2=rng.standard_normal((i1, i2 - 1, r)),
-        ux=rng.standard_normal(problem.x.shape),
-        uy=rng.standard_normal(problem.y.shape),
-        u1=rng.standard_normal((i1 - 1, i2, r)),
-        u2=rng.standard_normal((i1, i2 - 1, r)),
+        g=(rng.standard_normal((i1 - 1, i2, r)), rng.standard_normal((i1, i2 - 1, r))),
+        u=(
+            rng.standard_normal(problem.x.shape),
+            rng.standard_normal(problem.y.shape),
+            rng.standard_normal((i1 - 1, i2, r)),
+            rng.standard_normal((i1, i2 - 1, r)),
+        ),
     )
 
 
@@ -197,8 +198,7 @@ def test_grad_zero_at_feasible_point_with_zero_multipliers():
     state = replace(
         initial_state(feas, 1.0),
         a=a,
-        g1=difference(a, 1),
-        g2=difference(a, 2),
+        g=(difference(a, 1), difference(a, 2)),
     )
     g = grad_a(state, feas, _tensors(state, feas))
     assert np.abs(g).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
@@ -236,20 +236,19 @@ def test_grad_multiplier_scaling_is_linear():
     rng = np.random.default_rng(7)
     prob = _random_problem(rng)
     state = _random_state(rng, prob)
-    doubled = replace(
-        state, ux=2 * state.ux, uy=2 * state.uy, u1=2 * state.u1, u2=2 * state.u2
-    )
+    doubled = replace(state, u=tuple(2 * u for u in state.u))
     g1 = grad_a(state, prob, _tensors(state, prob))
     g2 = grad_a(doubled, prob, _tensors(doubled, prob))
+    ux, uy, u1, u2 = state.u
     shift = -2.0 * (
         mode_n_product(
-            mode_n_product(mode_n_product(state.ux, prob.p1.T, 1), prob.p2.T, 2),
+            mode_n_product(mode_n_product(ux, prob.p1.T, 1), prob.p2.T, 2),
             prob.s.T,
             3,
         )
-        + mode_n_product(state.uy, prob.q.T, 3)
-        + mode_n_product(state.u1, diff_matrix(state.a.shape[0]).T, 1)
-        + mode_n_product(state.u2, diff_matrix(state.a.shape[1]).T, 2)
+        + mode_n_product(uy, prob.q.T, 3)
+        + mode_n_product(u1, diff_matrix(state.a.shape[0]).T, 1)
+        + mode_n_product(u2, diff_matrix(state.a.shape[1]).T, 2)
     )
     assert np.allclose(g2 - g1, shift, rtol=1e-10, atol=1e-12)
 
@@ -266,11 +265,12 @@ def _gram_gradient(state, problem):
         + mode_n_product(a, d1.T @ d1, 1)
         + mode_n_product(a, d2.T @ d2, 2)
     )
-    xt = mode_n_product(problem.x + state.ux, s.T, 3)
+    ux, uy, u1, u2 = state.u
+    xt = mode_n_product(problem.x + ux, s.T, 3)
     data_x = mode_n_product(mode_n_product(xt, p1.T, 1), p2.T, 2)
-    data_y = mode_n_product(problem.y + state.uy, q.T, 3)
-    data_g1 = mode_n_product(state.g1 + state.u1, d1.T, 1)
-    data_g2 = mode_n_product(state.g2 + state.u2, d2.T, 2)
+    data_y = mode_n_product(problem.y + uy, q.T, 3)
+    data_g1 = mode_n_product(state.g[0] + u1, d1.T, 1)
+    data_g2 = mode_n_product(state.g[1] + u2, d2.T, 2)
     return 2.0 * (quad - data_x - data_y - data_g1 - data_g2)
 
 
@@ -311,7 +311,7 @@ def test_grad_applies_the_adjoint_of_the_constraint_maps(case):
         mode_n_product(a, diff_matrix(a.shape[0]), 1),
         mode_n_product(a, diff_matrix(a.shape[1]), 2),
     )
-    v = (state.ux, state.uy, state.u1, state.u2)
+    v = state.u
     lhs = sum(float(np.vdot(f, w)) for f, w in zip(forward, v))
     rhs = float(np.vdot(a, -0.5 * grad_a(zero, prob, v)))
     scale = np.sqrt(sum(np.vdot(f, f) for f in forward) * sum(np.vdot(w, w) for w in v))
@@ -332,8 +332,7 @@ def test_step_a_zero_gradient_fixed_point():
     state = replace(
         initial_state(feas, 1.0),
         a=a,
-        g1=difference(a, 1),
-        g2=difference(a, 2),
+        g=(difference(a, 1), difference(a, 2)),
     )
     new = step_a(state, 5.0, grad_a(state, feas, _tensors(state, feas)))
     assert np.allclose(new.a, a, atol=1e-12)
@@ -363,8 +362,7 @@ def test_step_a_double_tau_halves_the_move():
 
 def _g_subproblem_objective(g, n, state, problem, psi):
     d = diff_matrix(state.a.shape[n - 1])
-    u = state.u1 if n == 1 else state.u2
-    misfit = g + u - mode_n_product(state.a, d, n)
+    misfit = g + state.u[n + 1] - mode_n_product(state.a, d, n)
     return ntpnn(mode_shuffle(g, 3 - n), psi) + state.rho * np.linalg.norm(misfit) ** 2
 
 
@@ -372,10 +370,11 @@ def test_step_g_tracks_gradient_for_huge_rho():
     rng = np.random.default_rng(11)
     prob = _random_problem(rng)
     state = replace(_random_state(rng, prob), rho=1e9)
-    state = replace(state, u1=np.zeros_like(state.u1), u2=np.zeros_like(state.u2))
+    ux, uy, u1, u2 = state.u
+    state = replace(state, u=(ux, uy, np.zeros_like(u1), np.zeros_like(u2)))
     for n in (1, 2):
         new = step_g(state, n, PSI, difference(state.a, n))
-        g = new.g1 if n == 1 else new.g2
+        g = new.g[n - 1]
         target = difference(state.a, n)
         assert np.linalg.norm(g - target) / np.linalg.norm(target) <= 1e-4
 
@@ -386,7 +385,7 @@ def test_step_g_zero_target_gives_zero():
     state = initial_state(prob, 1.0)  # a = 0, u = 0 -> prox target 0
     for n in (1, 2):
         new = step_g(state, n, PSI, difference(state.a, n))
-        assert not (new.g1 if n == 1 else new.g2).any()
+        assert not new.g[n - 1].any()
 
 
 def test_step_g_minimizes_subproblem():
@@ -395,8 +394,8 @@ def test_step_g_minimizes_subproblem():
     state = _random_state(rng, prob, rho=0.5)
     for n in (1, 2):
         new = step_g(state, n, PSI, difference(state.a, n))
-        g_new = new.g1 if n == 1 else new.g2
-        g_old = state.g1 if n == 1 else state.g2
+        g_new = new.g[n - 1]
+        g_old = state.g[n - 1]
         f_new = _g_subproblem_objective(g_new, n, state, prob, PSI)
         assert f_new <= _g_subproblem_objective(g_old, n, state, prob, PSI) + 1e-10
         for _ in range(100):
@@ -418,13 +417,12 @@ def test_update_multipliers_feasible_point_only_grows_rho():
     state = replace(
         initial_state(feas, 0.7),
         a=a,
-        g1=difference(a, 1),
-        g2=difference(a, 2),
+        g=(difference(a, 1), difference(a, 2)),
     )
     new = update_multipliers(state, 1.3, _tensors(state, feas))
     # the multipliers m = rho u stay where they were
-    assert np.allclose(new.rho * new.ux, state.rho * state.ux, atol=1e-12)
-    assert np.allclose(new.rho * new.uy, state.rho * state.uy, atol=1e-12)
+    assert np.allclose(new.rho * new.u[0], state.rho * state.u[0], atol=1e-12)
+    assert np.allclose(new.rho * new.u[1], state.rho * state.u[1], atol=1e-12)
     assert new.rho == pytest.approx(0.7 * 1.3, rel=1e-15)
     assert new.iter == state.iter + 1
 
@@ -440,10 +438,35 @@ def test_update_multipliers_gains_rho_times_residual():
     tensors = _tensors(state, prob)
     assert np.allclose(tensors[0], res_x, rtol=1e-12, atol=1e-14)
     new = update_multipliers(state, 1.05, tensors)
-    for name, r in zip(("ux", "uy", "u1", "u2"), tensors):
-        want = state.rho * getattr(state, name) + state.rho * r
-        got = new.rho * getattr(new, name)
+    for name, u_old, u_new, r in zip(("ux", "uy", "u1", "u2"), state.u, new.u, tensors):
+        want = state.rho * u_old + state.rho * r
+        got = new.rho * u_new
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+def test_state_keeps_the_constraint_blocks_in_residual_order():
+    # u[i] is the scaled dual of residual tensor i, and g[n - 1] the split of D_n a
+    rng = np.random.default_rng(31)
+    prob = _random_problem(rng)
+    state = _random_state(rng, prob)
+    zero = replace(state, u=tuple(np.zeros_like(u) for u in state.u))
+    tensors = _tensors(zero, prob)
+    nu = 1.3
+    new = update_multipliers(zero, nu, tensors)
+    assert len(new.u) == len(tensors) == 4
+    for u, r in zip(new.u, tensors):
+        assert np.array_equal(u, r / nu)
+    for n in (1, 2):
+        new = step_g(state, n, PSI, difference(state.a, n))
+        assert new.g[n - 1] is not state.g[n - 1]
+        assert new.g[n - 1].shape == difference(state.a, n).shape
+        assert new.g[2 - n] is state.g[2 - n]
+        assert new.a is state.a and new.rho == state.rho
+        assert all(v is w for v, w in zip(new.u, state.u))
+        # the prox read u[n + 1]: its fixed point at huge rho is D_n a - u[n + 1]
+        fast = step_g(replace(state, rho=1e9), n, PSI, difference(state.a, n))
+        target = difference(state.a, n) - state.u[n + 1]
+        assert np.linalg.norm(fast.g[n - 1] - target) <= 1e-4 * np.linalg.norm(target)
 
 
 def test_rho_trajectory_is_geometric():
@@ -470,8 +493,7 @@ def test_residuals_zero_at_feasible_state():
     state = replace(
         initial_state(feas, 1.0),
         a=a,
-        g1=difference(a, 1),
-        g2=difference(a, 2),
+        g=(difference(a, 1), difference(a, 2)),
     )
     assert residuals(_tensors(state, feas)).max() <= 1e-12
 
@@ -617,8 +639,7 @@ def test_solve_matches_the_unscaled_multiplier_loop(monkeypatch, big, small):
     pairs = [(z_hat, want_z), (res, trace["res"]), (diag.rho, trace["rho"]),
              (diag.mx_norm, trace["mx_norm"]), (diag.my_norm, trace["my_norm"])]
     (state,) = final
-    pairs += [(state.rho * u, mk) for u, mk in zip(
-        (state.ux, state.uy, state.u1, state.u2), want_m)]
+    pairs += [(state.rho * u, mk) for u, mk in zip(state.u, want_m)]
     for got, want in pairs:
         want = np.asarray(want)
         assert np.linalg.norm(np.asarray(got) - want) <= 1e-12 * np.linalg.norm(want)
@@ -634,8 +655,8 @@ def test_solve_raises_divergence_error_on_overflow():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", ["u1", "u2"], ids=["m1", "m2"])
-def test_solve_raises_divergence_error_on_gradient_multiplier_overflow(monkeypatch, name):
+@pytest.mark.parametrize("k", [2, 3], ids=["m1", "m2"])
+def test_solve_raises_divergence_error_on_gradient_multiplier_overflow(monkeypatch, k):
     # the overflow stays in one gradient multiplier m_n = rho u_n; the solve
     # must stop at the iteration that made it, with a typed error and no warning
     update = solver_module.update_multipliers
@@ -644,9 +665,10 @@ def test_solve_raises_divergence_error_on_gradient_multiplier_overflow(monkeypat
         state = update(*args, **kwargs)
         if state.iter < 3:
             return state
-        m = getattr(state, name).copy()
-        m[0, 0, 0] = np.finfo(float).max * 2.0
-        return replace(state, **{name: m})
+        u = list(state.u)
+        u[k] = u[k].copy()
+        u[k][0, 0, 0] = np.finfo(float).max * 2.0
+        return replace(state, u=tuple(u))
 
     monkeypatch.setattr(solver_module, "update_multipliers", overflowing_update)
     rng = np.random.default_rng(22)
@@ -901,7 +923,7 @@ def test_kkt_zero_data_exact_point():
     state = initial_state(zero, 1.0)
     tensors = _tensors(state, zero)
     rep = kkt_check(state, PSI, residuals(tensors), grad_a(state, zero, tensors),
-                    Diagnostics(tau=8.0, tau_mode="safe", eps=1e-5))
+                    Diagnostics(tau=8.0, tau_mode="safe", eps=1e-5, eps_mode="absolute"))
     assert rep.passed
     assert rep.grad_norm == 0.0
     assert rep.subgrad_dev_g1 == 0.0 and rep.subgrad_dev_g2 == 0.0
