@@ -14,10 +14,18 @@ Conventions (they matter when comparing against published tables):
   valid interior and averaged over bands.
 
 PSNR and ERGAS share the per-band squared-error sums, which are streamed in
-slabs of 16 rows (``_SLAB_ROWS``) like SSIM's filtering, so ``evaluate``
-holds no temporary larger than SSIM's slab buffers.
+slabs of 16 rows (``_SLAB_ROWS``). SSIM filters its output in blocks that
+carry all bands and whose inputs fit 1 MiB (``_BLOCK_BYTES``), so they stay
+in cache: full-width slabs of 16 rows where one fits, else 8 rows by a
+multiple of 16 columns (8x32 at 256x256x162; see ``_ssim_block``).
+
+Every metric raises ``ValueError`` ("... contains non-finite entries") when
+an input holds NaN or Inf. It tells from sums it computes anyway (the
+per-band squared errors, SAM's per-pixel norms, SSIM's band sums), and
+scans the inputs only then, to name the one at fault.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -25,11 +33,14 @@ import numpy as np
 
 from .degradation import gaussian_kernel_1d
 from .errors import DimensionError, MetricUndefinedError
-from .tensor import mode_n_product
+from .tensor import mode_n_product, require_finite
 
 PSNR_CAP_DB = 100.0
-# rows that the squared-error sums read, and output rows that ssim filters, at a time
+# rows that the squared-error sums read at a time, and ssim's output rows per
+# full-width slab and columns per tile of its column filter
 _SLAB_ROWS = 16
+# bytes of one input's block in ssim: (rows + win_size - 1) x (columns + win_size - 1) x bands
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -42,7 +53,8 @@ class MetricReport:
 
 def _check_same_shape(ref, est):
     # aligned C-order copies only where needed: every metric then sums in the
-    # same order whatever the input layout, and ssim's row slabs are contiguous
+    # same order whatever the input layout, and in each row of an ssim block
+    # the columns and bands merge into one contiguous axis
     ref = np.require(ref, float, ["C", "A"])
     est = np.require(est, float, ["C", "A"])
     if ref.shape != est.shape or ref.ndim != 3:
@@ -51,6 +63,19 @@ def _check_same_shape(ref, est):
             f"got {ref.shape} vs {est.shape}"
         )
     return ref, est
+
+
+def _require_finite_sums(sums, ref, est):
+    """Raise ValueError if a metric's sums over ref and est are not finite.
+
+    They are NaN or Inf when an input is; only then are the inputs scanned,
+    to name the one at fault. Finite inputs whose sums overflow raise too,
+    so the metrics compute their sums with floating-point warnings off.
+    """
+    if not np.isfinite(sums).all():
+        require_finite(ref, "reference")
+        require_finite(est, "estimate")
+        raise ValueError("metric sums overflow: input values too large")
 
 
 def _band_mse(ref, est):
@@ -64,14 +89,16 @@ def _band_mse(ref, est):
     i1, i2, bands = ref.shape
     buf = np.zeros((min(_SLAB_ROWS, i1) * i2 + 1, bands))
     total = np.zeros(bands)
-    for r in range(0, i1, _SLAB_ROWS):
-        n = min(_SLAB_ROWS, i1 - r) * i2
-        err2 = buf[1 : n + 1]
-        rows = slice(r, r + _SLAB_ROWS)
-        np.subtract(ref[rows].reshape(n, bands), est[rows].reshape(n, bands), out=err2)
-        err2 *= err2
-        np.sum(buf[: n + 1], axis=0, out=total)
-        buf[0] = total
+    with np.errstate(all="ignore"):
+        for r in range(0, i1, _SLAB_ROWS):
+            n = min(_SLAB_ROWS, i1 - r) * i2
+            err2 = buf[1 : n + 1]
+            rows = slice(r, r + _SLAB_ROWS)
+            np.subtract(ref[rows].reshape(n, bands), est[rows].reshape(n, bands), out=err2)
+            err2 *= err2
+            np.sum(buf[: n + 1], axis=0, out=total)
+            buf[0] = total
+    _require_finite_sums(total, ref, est)
     return total / (i1 * i2)
 
 
@@ -120,6 +147,7 @@ def sam(ref, est):
     e = est.reshape(-1, bands)
     nr = np.sqrt(np.einsum("ij,ij->i", r, r))
     ne = np.sqrt(np.einsum("ij,ij->i", e, e))
+    _require_finite_sums((nr.sum(), ne.sum()), ref, est)
     valid = (nr > 0) & (ne > 0)
     if not valid.any():
         raise MetricUndefinedError("SAM undefined: every pixel spectrum is zero")
@@ -150,15 +178,33 @@ def _filter_columns(img, toeplitz, out):
         np.matmul(toeplitz[:c, : c + reach], img[:, j : j + c + reach], out=out[:, j : j + c])
 
 
+def _ssim_block(n1, n2, bands, reach):
+    """Output rows and columns of one ssim block.
+
+    A full-width slab of ``_SLAB_ROWS`` rows when one input's block,
+    (rows + reach) x I2 x bands, fits ``_BLOCK_BYTES``; else half as many
+    rows and the widest multiple of ``_SLAB_ROWS`` columns (at least one
+    tile) whose input block fits.
+    """
+    pixel = 8 * bands  # bytes of a float64 spectrum
+    rows = min(_SLAB_ROWS, n1)
+    if (rows + reach) * (n2 + reach) * pixel <= _BLOCK_BYTES:
+        return rows, n2
+    rows = min(_SLAB_ROWS // 2, n1)
+    cols = (_BLOCK_BYTES // ((rows + reach) * pixel) - reach) // _SLAB_ROWS * _SLAB_ROWS
+    return rows, min(max(cols, _SLAB_ROWS), n2)
+
+
 def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
     """Single-scale structural similarity, averaged over bands.
 
-    All bands are filtered at once, in slabs of output rows: a slab's input
-    rows are one contiguous block of the band-interleaved cube. The separable
-    window is applied down the rows as one banded (Toeplitz) product and
-    across the columns as batched products with tiles of the same matrix.
-    The window is ``degradation.gaussian_kernel_1d(win_size, win_sigma)``, so
-    ``win_size`` must be odd.
+    All bands are filtered at once, in blocks of output pixels (see
+    ``_ssim_block``): a block's input rows are strided runs of the
+    band-interleaved cube whose columns and bands merge into one axis. The
+    separable window is applied down the rows as one banded (Toeplitz)
+    product and across the columns as batched products with tiles of the
+    same matrix. The window is ``degradation.gaussian_kernel_1d(win_size,
+    win_sigma)``, so ``win_size`` must be odd.
     """
     ref, est = _check_same_shape(ref, est)
     if not peak > 0:
@@ -172,45 +218,49 @@ def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
     i1, i2, bands = ref.shape
     reach = win_size - 1
     n1, n2 = i1 - reach, i2 - reach
-    slab = min(_SLAB_ROWS, n1)
-    toeplitz = _toeplitz(gaussian_kernel_1d(win_size, win_sigma), slab)
-    # allocated once per call: a product map's input rows (then scratch for
-    # the SSIM map), its row-filtered slab, and the five local moments
-    prod = np.empty((slab + reach, i2, bands))
-    rowf = np.empty((slab, i2, bands))
-    moments = np.empty((5, slab, n2, bands))
-    scratch = prod.reshape(-1)[: moments[0].size].reshape(moments[0].shape)
+    rows, cols = _ssim_block(n1, n2, bands, reach)
+    toeplitz = _toeplitz(gaussian_kernel_1d(win_size, win_sigma), _SLAB_ROWS)
+    # allocated once per call at block size, each block taking a contiguous
+    # prefix: a product map's input block (then scratch for the SSIM map),
+    # its row-filtered block, and the five local moments
+    prod_buf = np.empty((rows + reach) * (cols + reach) * bands)
+    rowf_buf = np.empty(rows * (cols + reach) * bands)
+    moments_buf = np.empty(5 * rows * cols * bands)
     sums = np.zeros(bands)
-    for r in range(0, n1, slab):
-        t = min(slab, n1 - r)
-        x = ref[r : r + t + reach]
-        y = est[r : r + t + reach]
-        down = toeplitz[:t, : t + reach]
-        mu = moments[:, :t]
-        for k, (a, b) in enumerate(((x, None), (y, None), (x, x), (y, y), (x, y))):
-            src = a if b is None else np.multiply(a, b, out=prod[: t + reach])
-            np.matmul(down, src.reshape(t + reach, -1), out=rowf[:t].reshape(t, -1))
-            _filter_columns(rowf[:t], toeplitz, mu[k])
-        mu_x, mu_y, sxx, syy, sxy = mu
-        # the numerator (2 mu_x mu_y + c1)(2 cov + c2) is formed as a quarter
-        # of itself, which is exact: halving and doubling do not round
-        s = scratch[:t]
-        np.multiply(mu_x, mu_y, out=s)
-        sxy -= s
-        sxy += 0.5 * c2
-        s += 0.5 * c1
-        s *= sxy
-        np.square(mu_x, out=mu_x)
-        np.square(mu_y, out=mu_y)
-        sxx -= mu_x
-        syy -= mu_y
-        sxx += syy
-        sxx += c2  # var_x + var_y + c2
-        mu_x += mu_y
-        mu_x += c1
-        mu_x *= sxx  # denominator
-        s /= mu_x
-        sums += s.sum(axis=(0, 1))
+    with np.errstate(all="ignore"):
+        for r, j in itertools.product(range(0, n1, rows), range(0, n2, cols)):
+            t, c = min(rows, n1 - r), min(cols, n2 - j)
+            down = toeplitz[:t, : t + reach]
+            x = ref[r : r + t + reach, j : j + c + reach]
+            y = est[r : r + t + reach, j : j + c + reach]
+            prod = prod_buf[: x.size].reshape(x.shape)
+            rowf = rowf_buf[: t * (c + reach) * bands].reshape(t, c + reach, bands)
+            mu = moments_buf[: 5 * t * c * bands].reshape(5, t, c, bands)
+            for k, (a, b) in enumerate(((x, None), (y, None), (x, x), (y, y), (x, y))):
+                src = a if b is None else np.multiply(a, b, out=prod)
+                np.matmul(down, src.reshape(t + reach, -1), out=rowf.reshape(t, -1))
+                _filter_columns(rowf, toeplitz, mu[k])
+            mu_x, mu_y, sxx, syy, sxy = mu
+            # the numerator (2 mu_x mu_y + c1)(2 cov + c2) is formed as a quarter
+            # of itself, which is exact: halving and doubling do not round
+            s = prod_buf[: mu_x.size].reshape(mu_x.shape)
+            np.multiply(mu_x, mu_y, out=s)
+            sxy -= s
+            sxy += 0.5 * c2
+            s += 0.5 * c1
+            s *= sxy
+            np.square(mu_x, out=mu_x)
+            np.square(mu_y, out=mu_y)
+            sxx -= mu_x
+            syy -= mu_y
+            sxx += syy
+            sxx += c2  # var_x + var_y + c2
+            mu_x += mu_y
+            mu_x += c1
+            mu_x *= sxx  # denominator
+            s /= mu_x
+            sums += s.sum(axis=(0, 1))
+    _require_finite_sums(sums, ref, est)
     return float(np.mean(4.0 * sums / (n1 * n2)))
 
 
@@ -259,13 +309,13 @@ def bicubic_upsample(x, factor):
 def evaluate(ref, est, peak=None, ratio=1.0):
     """All four metrics in one report; peak defaults to the reference maximum."""
     ref, est = _check_same_shape(ref, est)
+    mse = _band_mse(ref, est)  # shared by PSNR and ERGAS; rejects NaN and Inf
     if peak is None:
         peak = float(ref.max())
         if not peak > 0:
             raise MetricUndefinedError(
                 "peak undefined: reference maximum is not positive"
             )
-    mse = _band_mse(ref, est)  # shared by PSNR and ERGAS
     return MetricReport(
         psnr=_psnr(mse, peak, PSNR_CAP_DB),
         ergas=_ergas(mse, ref, ratio),

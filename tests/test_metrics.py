@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -16,7 +16,7 @@ from hsfusion import (
     sam,
     ssim,
 )
-from hsfusion.metrics import _SLAB_ROWS, PSNR_CAP_DB, _band_mse
+from hsfusion.metrics import _BLOCK_BYTES, _SLAB_ROWS, PSNR_CAP_DB, _band_mse, _ssim_block
 
 
 def test_psnr_identical_hits_cap():
@@ -320,6 +320,47 @@ def test_ssim_matches_per_band_path(i1, i2, bands, seed, window):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+# cubes too wide in bands for a full-width slab: ssim filters blocks of 8 rows
+# and of columns in multiples of 16, with ragged last row and column blocks,
+# and a block as wide as a narrow image
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    i1=st.integers(11, 100),
+    i2=st.integers(11, 100),
+    bands=st.integers(200, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(i1=37, i2=100, bands=200, seed=0)  # row blocks of 8, 8, 8, 3; column blocks of 16 and a last of 10
+@example(i1=30, i2=20, bands=500, seed=1)  # a 16-column block cut to the 10 output columns
+@example(i1=12, i2=64, bands=300, seed=2)  # two output rows
+def test_ssim_matches_per_band_path_across_block_edges(i1, i2, bands, seed):
+    n1, n2 = i1 - 10, i2 - 10
+    assume(_ssim_block(n1, n2, bands, 10) != (min(_SLAB_ROWS, n1), n2))
+    rng = np.random.default_rng(seed)
+    ref = rng.random((i1, i2, bands))
+    est = np.clip(ref + rng.normal(0.0, 0.2, ref.shape), 0.0, None)
+    want = _ssim_per_band(ref, est, peak=1.0)
+    assert ssim(ref, est, peak=1.0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape, block",
+    [((64, 64, 32), (16, 54)), ((96, 96, 48), (16, 86)), ((256, 256, 162), (8, 32))],
+    ids=["64x64x32", "96x96x48", "256x256x162"],
+)
+def test_ssim_block_is_a_full_width_slab_only_while_one_fits(shape, block):
+    i1, i2, bands = shape
+    assert _ssim_block(i1 - 10, i2 - 10, bands, 10) == block
+
+
+def test_ssim_buffers_stay_within_a_few_blocks():
+    rng = np.random.default_rng(21)
+    ref = rng.random((64, 256, 162))  # 21 MB
+    est = ref + rng.normal(0.0, 0.05, ref.shape)
+    # 8x32 blocks: 3.1 MB of buffers (full-width slabs of 16 rows took 39 MB)
+    assert _traced_peak(ssim, ref, est, 1.0) < 5 * _BLOCK_BYTES
+
+
 def test_ssim_rejects_an_even_window():
     t = np.zeros((16, 16, 1))
     with pytest.raises(ValueError, match="odd"):
@@ -398,6 +439,45 @@ def test_evaluate_shares_squared_error_with_psnr_and_ergas(ratio):
     rep = evaluate(ref, est, ratio=ratio)
     assert rep.psnr == psnr(ref, est, float(ref.max()))
     assert rep.ergas == ergas(ref, est, ratio)
+
+
+# each metric on (ref, est), with a peak or ratio where it takes one
+_METRIC_CALLS = {
+    "psnr": lambda ref, est: psnr(ref, est, 1.0),
+    "whole-cube psnr": lambda ref, est: psnr(ref, est, 1.0, per_band=False),
+    "ergas": lambda ref, est: ergas(ref, est, 4.0),
+    "sam": sam,
+    "ssim": lambda ref, est: ssim(ref, est, 1.0),
+    "evaluate": evaluate,
+}
+
+# (the input at fault, the entries set, their value)
+_NON_FINITE = {
+    "nan pixel": ("estimate", (7, 9, 2), np.nan),
+    "inf band": ("estimate", (slice(None), slice(None), 1), np.inf),
+    "-inf pixel": ("estimate", (3, 3, 0), -np.inf),
+    "nan reference pixel": ("reference", (7, 9, 2), np.nan),
+}
+
+
+@pytest.mark.parametrize("case", _NON_FINITE)
+@pytest.mark.parametrize("metric", _METRIC_CALLS)
+def test_metrics_reject_non_finite_inputs(metric, case):
+    # unchecked, a NaN estimate scores a capped 100 dB PSNR and a NaN SSIM
+    name, index, value = _NON_FINITE[case]
+    rng = np.random.default_rng(20)
+    ref = rng.random((20, 20, 4)) + 0.05
+    est = ref + rng.normal(0.0, 0.05, ref.shape)
+    (est if name == "estimate" else ref)[index] = value
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        _METRIC_CALLS[metric](ref, est)
+
+
+@pytest.mark.parametrize("metric", _METRIC_CALLS)
+def test_metrics_reject_sums_that_overflow(metric):
+    ref = np.full((20, 20, 4), 1e200)
+    with pytest.raises(ValueError, match="overflow"):
+        _METRIC_CALLS[metric](ref, np.zeros_like(ref))
 
 
 def _misaligned_readonly(a):
