@@ -301,7 +301,9 @@ def kkt_check(state, psi, res, grad, diagnostics):
     relation between each gradient multiplier m_n = rho u_n and
     -psi'(sigma)/2 (to within 1e-4), and (iv) finiteness of the
     data-multiplier norm traces, with their final/median growth ratios
-    reported. ``res`` (the :func:`residuals` norms) and ``grad``
+    reported. Check (ii) in multiplier units: grad = -2 A^T(r + m/rho), so
+    |grad| <= 10*eps*tau means |A^T m + rho A^T r| <= 5*eps*tau*rho, a bound
+    that grows with rho. ``res`` (the :func:`residuals` norms) and ``grad``
     (:func:`grad_a`) are those of ``state``; ``diagnostics`` holds the run's
     tau, its effective eps and its multiplier norm traces.
     """
@@ -341,6 +343,49 @@ def kkt_check(state, psi, res, grad, diagnostics):
     )
 
 
+def _iterates(problem, psi, tau, nu, state):
+    """The linearized-ADMM iterates from ``state``, that state first, each as
+    ``(state, diffs, res, grad, norms, rho)``: the differences of its a, its
+    residual norms, the gradient at it, the norms of that gradient and of the
+    multipliers m = rho u, and the penalty its step used. Raises
+    DivergenceError at the first non-finite iterate. The caller lets go of the
+    state, diffs and grad before it resumes, so no iterate outlives the next step.
+    """
+    diffs = (difference(state.a, 1), difference(state.a, 2))
+    tensors = _residual_tensors(state, problem, diffs)
+    rho = state.rho
+    while True:
+        # overflow is the divergence path: the finite checks (a non-finite g_n shows in
+        # the residual norms) make it a typed error. An errstate across a yield binds the caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = residuals(tensors)
+            grad = grad_a(state, problem, tensors)
+            norms = [np.linalg.norm(grad)] + [state.rho * np.linalg.norm(u) for u in state.u]
+        if not (np.isfinite(res).all() and np.isfinite(norms).all()):
+            raise DivergenceError("a residual, gradient or multiplier norm became non-finite "
+                                  f"at iteration {state.iter}")
+        yield state, diffs, res, grad, norms, rho
+        del diffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = step_a(state, tau, grad)
+            if not all_finite(state.a):
+                raise DivergenceError(f"iterate 'a' became non-finite at iteration {state.iter}")
+            # the new a's differences serve both proxes, the residuals and the trace
+            diffs = (difference(state.a, 1), difference(state.a, 2))
+            for n in (1, 2):
+                state = step_g(state, n, psi, diffs[n - 1])
+            rho = state.rho
+            tensors = _residual_tensors(state, problem, diffs)
+            state = update_multipliers(state, nu, tensors)
+
+
+def _stop_reason(res, iteration, eps, max_iter):
+    """The stop rule: "tol" when res.max() <= eps, else "max_iter" at the cap, else None."""
+    if res.max() <= eps:
+        return "tol"
+    return "max_iter" if iteration >= max_iter else None
+
+
 def solve(x, y, p1, p2, p3, config):
     """Run the full fusion loop; returns (z_hat, diagnostics).
 
@@ -367,50 +412,24 @@ def solve(x, y, p1, p2, p3, config):
         eps *= float(np.linalg.norm(x))
     diag = Diagnostics(tau=tau, tau_mode=config.tau_mode, eps=eps,
                        eps_mode=config.eps_mode)
-    state = initial_state(problem, config.rho0)
-    tensors = _residual_tensors(
-        state, problem, (difference(state.a, 1), difference(state.a, 2)))
-    res = residuals(tensors)
-    grad = grad_a(state, problem, tensors)
-    while res.max() > eps and state.iter < config.max_iter:
+    iterates = _iterates(problem, psi, tau, config.nu, initial_state(problem, config.rho0))
+    for state, diffs, res, grad, norms, rho in iterates:
+        # the zero state comes first, untimed and untraced
+        if state.iter:
+            diag.record(res_x=res[0], res_y=res[1], res_g1=res[2], res_g2=res[3],
+                        rho=rho, objective=nms_tctv(state.a, psi, diffs),
+                        grad_norm=norms[0], mx_norm=norms[1], my_norm=norms[2])
+            diag.record(wall_time=time.perf_counter() - t_start)
+        del diffs
+        reason = _stop_reason(res, state.iter, eps, config.max_iter)
+        if reason is not None:
+            break
+        # not held through the next step: that made each protocol-scale solve fault ~60 MB in
+        del state, grad
         t_start = time.perf_counter()
-        # overflow here is the divergence path; the finite checks below
-        # convert it into a typed error instead of a warning. A non-finite
-        # g1 or g2 shows in the residual norms, a multiplier in its own norm.
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = step_a(state, tau, grad)
-            if not all_finite(state.a):
-                raise DivergenceError(
-                    f"iterate 'a' became non-finite at iteration {state.iter}"
-                )
-            # the differences of the new a serve both proxes, the residuals
-            # and the objective trace
-            diffs = (difference(state.a, 1), difference(state.a, 2))
-            for n, diff in enumerate(diffs, 1):
-                state = step_g(state, n, psi, diff)
-            rho_used = state.rho
-            tensors = _residual_tensors(state, problem, diffs)
-            state = update_multipliers(state, config.nu, tensors)
-            res = residuals(tensors)
-            # the gradient at the new state is also the next iteration's step
-            # (or, after the last iteration, kkt_check's)
-            grad = grad_a(state, problem, tensors)
-            # the multiplier norms |m| = rho |u|
-            norms = [np.linalg.norm(grad)] + [
-                state.rho * np.linalg.norm(u) for u in state.u]
-        if not (np.isfinite(res).all() and np.isfinite(norms).all()):
-            raise DivergenceError(
-                f"a residual, gradient or multiplier norm became non-finite "
-                f"at iteration {state.iter}"
-            )
-        diag.record(res_x=res[0], res_y=res[1], res_g1=res[2], res_g2=res[3],
-                    rho=rho_used, objective=nms_tctv(state.a, psi, diffs),
-                    grad_norm=norms[0], mx_norm=norms[1], my_norm=norms[2])
-        # freed now, so they add nothing to the peak of the next step or of z_hat
-        del diffs, diff
-        diag.record(wall_time=time.perf_counter() - t_start)
+    iterates.close()  # frees the last residual tensors before kkt_check and z_hat
     diag.iterations = state.iter
-    diag.converged = bool(res.max() <= eps)
+    diag.converged = reason == "tol"
     diag.kkt = kkt_check(state, psi, res, grad, diag)
     z_hat = mode_n_product(state.a, s, 3)
     return z_hat, diag

@@ -117,6 +117,17 @@ def test_run_config_solver_defaults_are_solver_configs():
             assert getattr(run, f.name) == getattr(solver, f.name)
 
 
+@pytest.mark.parametrize("cls", [SolverConfig, RunConfig])
+@pytest.mark.parametrize("key, value", [
+    ("max_iter", float("nan")), ("max_iter", 2.5), ("max_iter", True), ("r", 2.0), ("r", True)])
+def test_config_requires_integer_r_and_max_iter(cls, key, value):
+    want = f"{key} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        cls(**{"r": 2, key: value})
+    # numpy integers are integers
+    assert getattr(cls(**{"r": 2, key: np.int64(3)}), key) == 3
+
+
 def test_band_table_names_and_files(tmp_path):
     assert read_band_table("landsat7") == LANDSAT7_BANDS
     assert read_band_table("ikonos") == IKONOS_BANDS

@@ -1,5 +1,6 @@
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -810,6 +811,76 @@ def test_solve_takes_each_difference_once_per_iteration(monkeypatch, max_iter):
     _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=max_iter))
     assert diag.iterations == max_iter
     assert calls == [1, 2] * (max_iter + 1)
+
+
+@pytest.mark.parametrize("eps, iterations", [(1e-5, 3), (1e6, 0)])  # loop runs / never runs
+def test_solve_frees_the_residual_tensors_before_kkt_check(monkeypatch, eps, iterations):
+    # the last residual tensors are dead once the loop stops, so they add
+    # nothing to the peak of kkt_check or of z_hat
+    last, alive = [], []
+    make, check = solver_module._residual_tensors, solver_module.kkt_check
+
+    def tracked_tensors(*args):
+        tensors = make(*args)
+        last[:] = [weakref.ref(t) for t in tensors]
+        return tensors
+
+    def recording_check(*args):
+        alive.append([ref() is not None for ref in last])
+        return check(*args)
+
+    monkeypatch.setattr(solver_module, "_residual_tensors", tracked_tensors)
+    monkeypatch.setattr(solver_module, "kkt_check", recording_check)
+    _, deg, x, y = _small_instance()
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=3, eps=eps))
+    assert diag.iterations == iterations
+    assert alive == [[False] * 4]
+
+
+def test_solve_holds_no_iterate_through_the_next_step(monkeypatch):
+    # each step's input state is dead once the step has replaced it: held any
+    # longer, its arrays made every protocol-scale solve fault in ~60 MB afresh
+    stepped, alive = [], []
+    step, prox_step = solver_module.step_a, solver_module.step_g
+
+    def recording_step_a(state, *args):
+        stepped.append(weakref.ref(state.a))
+        return step(state, *args)
+
+    def checking_step_g(*args):
+        alive.append(stepped[-1]() is not None)
+        return prox_step(*args)
+
+    monkeypatch.setattr(solver_module, "step_a", recording_step_a)
+    monkeypatch.setattr(solver_module, "step_g", checking_step_g)
+    _, deg, x, y = _small_instance()
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=4))
+    assert diag.iterations == 4
+    assert alive == [False] * 8
+
+
+def test_solve_leaves_the_numpy_error_state_alone_between_steps(monkeypatch):
+    # the loop ignores overflow only inside its own steps: the objective trace
+    # and kkt_check, which run between them, see the caller's settings
+    default, seen = np.geterr(), []
+    for name in ("nms_tctv", "kkt_check"):
+        def recording(*args, original=getattr(solver_module, name)):
+            seen.append(np.geterr())
+            return original(*args)
+
+        monkeypatch.setattr(solver_module, name, recording)
+    _, deg, x, y = _small_instance()
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=3))
+    assert diag.iterations == 3
+    assert seen == [default] * 4
+
+
+def test_stop_reason_boundaries():
+    stop, res = solver_module._stop_reason, np.array([1e-3, 0.5, 0.0, 2e-3])
+    assert stop(res, 3, 0.5, 10) == "tol"  # at eps exactly
+    assert stop(res, 10, 0.5, 10) == "tol"  # the tolerance wins at the cap
+    assert stop(res, 10, 0.4, 10) == "max_iter"
+    assert stop(res, 9, 0.4, 10) is None
 
 
 def test_mode_checks_name_the_rejected_value():
