@@ -62,8 +62,6 @@ def tsvd_rank(t, rel_tol=1e-8):
     rel_tol times the global maximum."""
     sv = _fourier_singular_values(np.asarray(t, dtype=float))
     smax = sv.max() if sv.size else 0.0
-    if smax == 0.0:
-        return 0
     return int((sv > rel_tol * smax).sum(axis=1).max())
 
 
@@ -151,11 +149,8 @@ def check_tv_sandwich(a, psi, rel_slack=1e-10):
     g = float(psi.deriv_at_zero)
     i_max = max(i1, i2)
     m_star = max(min(i1, r), min(i2, r))
-    if x_max == 0.0:
-        # zero gradients: every side is zero and the chains hold trivially
-        return TvSandwichReport(nms, tv, atv, 0.0, g, i_max, m_star,
-                                True, True, True, True)
-    b = float(psi.value(x_max) / x_max)
+    # zero gradients: every side is zero and the chains hold within the slack
+    b = float(psi.value(x_max) / x_max) if x_max > 0.0 else 0.0
     slack = rel_slack * (1.0 + nms + tv + atv)
     return TvSandwichReport(
         nms=nms,

@@ -293,7 +293,7 @@ def _trace_stats(trace):
     return float(arr.max()), ratio
 
 
-def kkt_check(state, psi, res, grad, diagnostics):
+def kkt_check(state, psi, res, grad_norm, diagnostics):
     """First-order optimality report for a finished state.
 
     Checks (i) the four constraint residuals against 10*eps, (ii) the norm of
@@ -303,12 +303,12 @@ def kkt_check(state, psi, res, grad, diagnostics):
     data-multiplier norm traces, with their final/median growth ratios
     reported. Check (ii) in multiplier units: grad = -2 A^T(r + m/rho), so
     |grad| <= 10*eps*tau means |A^T m + rho A^T r| <= 5*eps*tau*rho, a bound
-    that grows with rho. ``res`` (the :func:`residuals` norms) and ``grad``
-    (:func:`grad_a`) are those of ``state``; ``diagnostics`` holds the run's
-    tau, its effective eps and its multiplier norm traces.
+    that grows with rho. ``res`` and ``grad_norm`` are the :func:`residuals`
+    norms and the norm of :func:`grad_a` at ``state``; ``diagnostics`` holds
+    the run's tau, its effective eps and its multiplier norm traces.
     """
     tau, eps = diagnostics.tau, diagnostics.eps
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = float(grad_norm)
     (dev1, kept1), (dev2, kept2) = (
         _subgradient_deviation(_to_norm_layout(g, n), _to_norm_layout(state.rho * u, n), psi)
         for n, g, u in zip((1, 2), state.g, state.u[2:]))
@@ -345,11 +345,11 @@ def kkt_check(state, psi, res, grad, diagnostics):
 
 def _iterates(problem, psi, tau, nu, state):
     """The linearized-ADMM iterates from ``state``, that state first, each as
-    ``(state, diffs, res, grad, norms, rho)``: the differences of its a, its
-    residual norms, the gradient at it, the norms of that gradient and of the
-    multipliers m = rho u, and the penalty its step used. Raises
-    DivergenceError at the first non-finite iterate. The caller lets go of the
-    state, diffs and grad before it resumes, so no iterate outlives the next step.
+    ``(state, diffs, res, norms, rho)``: the differences of its a, its
+    residual norms, the norms of the gradient at it and of the multipliers
+    m = rho u, and the penalty its step used. The gradient itself stays here.
+    Raises DivergenceError at the first non-finite iterate. The caller lets go
+    of the state and diffs before it resumes, so no iterate outlives the next step.
     """
     diffs = (difference(state.a, 1), difference(state.a, 2))
     tensors = _residual_tensors(state, problem, diffs)
@@ -364,7 +364,7 @@ def _iterates(problem, psi, tau, nu, state):
         if not (np.isfinite(res).all() and np.isfinite(norms).all()):
             raise DivergenceError("a residual, gradient or multiplier norm became non-finite "
                                   f"at iteration {state.iter}")
-        yield state, diffs, res, grad, norms, rho
+        yield state, diffs, res, norms, rho
         del diffs
         with np.errstate(over="ignore", invalid="ignore"):
             state = step_a(state, tau, grad)
@@ -403,17 +403,23 @@ def solve(x, y, p1, p2, p3, config):
             raise DimensionError(f"{name}: expected {kind}, got ndim={v.ndim}")
         inputs.append(v)
     x, y, p1, p2, p3 = inputs
+    # the zero iterate's residual norms are |X|_F and |Y|_F, which the loop must measure
+    with np.errstate(over="ignore"):
+        x_norm, y_norm = (float(np.linalg.norm(v)) for v in (x, y))
+    for norm, name in ((x_norm, "HSI"), (y_norm, "MSI")):
+        if not np.isfinite(norm):
+            raise ValueError(f"{name} is too large: its Frobenius norm overflows; rescale it")
     s = extract_subspace(x, config.r)
     problem = FusionProblem(x=x, y=y, p1=p1, p2=p2, p3=p3, s=s)
     psi = LogSurrogate(config.gamma)
     tau = lipschitz_tau(p1, p2, p3, s, config.tau_mode)
     eps = config.eps
     if config.eps_mode == "relative":
-        eps *= float(np.linalg.norm(x))
+        eps *= x_norm
     diag = Diagnostics(tau=tau, tau_mode=config.tau_mode, eps=eps,
                        eps_mode=config.eps_mode)
     iterates = _iterates(problem, psi, tau, config.nu, initial_state(problem, config.rho0))
-    for state, diffs, res, grad, norms, rho in iterates:
+    for state, diffs, res, norms, rho in iterates:
         # the zero state comes first, untimed and untraced
         if state.iter:
             diag.record(res_x=res[0], res_y=res[1], res_g1=res[2], res_g2=res[3],
@@ -425,11 +431,11 @@ def solve(x, y, p1, p2, p3, config):
         if reason is not None:
             break
         # not held through the next step: that made each protocol-scale solve fault ~60 MB in
-        del state, grad
+        del state
         t_start = time.perf_counter()
     iterates.close()  # frees the last residual tensors before kkt_check and z_hat
     diag.iterations = state.iter
     diag.converged = reason == "tol"
-    diag.kkt = kkt_check(state, psi, res, grad, diag)
+    diag.kkt = kkt_check(state, psi, res, norms[0], diag)
     z_hat = mode_n_product(state.a, s, 3)
     return z_hat, diag

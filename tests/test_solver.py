@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 import weakref
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsfusion import (
+    IKONOS_BANDS,
     Diagnostics,
     DimensionError,
     DivergenceError,
@@ -319,6 +321,19 @@ def test_grad_applies_the_adjoint_of_the_constraint_maps(case):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("name, cut, message", [
+    ("x", lambda t: t[..., :-1], "HSI shape (3, 2, 7) does not match operators (3, 2, 8)"),
+    ("y", lambda t: t[..., :-1], "MSI shape (6, 5, 3) does not match operators (6, 5, 4)"),
+    ("s", lambda t: t[:-1], "spectral basis has 7 rows, expected 8"),
+])
+def test_fusion_problem_checks_shapes_against_the_operators(name, cut, message):
+    prob = _random_problem(np.random.default_rng(25))
+    parts = {key: getattr(prob, key) for key in ("x", "y", "p1", "p2", "p3", "s")}
+    parts[name] = cut(parts[name])
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        FusionProblem(**parts)
+
+
 # ---------------------------------------------------------------- steps
 
 
@@ -337,6 +352,14 @@ def test_step_a_zero_gradient_fixed_point():
     )
     new = step_a(state, 5.0, grad_a(state, feas, _tensors(state, feas)))
     assert np.allclose(new.a, a, atol=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+def test_step_a_rejects_a_non_positive_tau(tau):
+    prob = _random_problem(np.random.default_rng(8))
+    state = initial_state(prob, 1.0)
+    with pytest.raises(ValueError, match=f"^tau must be positive, got {tau}$"):
+        step_a(state, tau, np.zeros_like(state.a))
 
 
 def test_step_a_descends_with_safe_tau():
@@ -679,6 +702,45 @@ def test_solve_raises_divergence_error_on_gradient_multiplier_overflow(monkeypat
         solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3, cfg)
 
 
+@pytest.mark.filterwarnings("error")
+def test_solve_raises_divergence_error_on_a_non_finite_step(monkeypatch):
+    # the step in a itself overflows: the loop stops before the proxes see it
+    step = solver_module.step_a
+
+    def overflowing_step(state, *args):
+        state = step(state, *args)
+        if state.iter != 2:
+            return state
+        a = state.a.copy()
+        a[0, 0, 0] = np.inf
+        return replace(state, a=a)
+
+    monkeypatch.setattr(solver_module, "step_a", overflowing_step)
+    _, deg, x, y = _small_instance()
+    with pytest.raises(DivergenceError, match="^iterate 'a' became non-finite at iteration 2$"):
+        solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=5))
+
+
+@pytest.mark.parametrize("which, name", [(0, "HSI"), (1, "MSI")])
+@pytest.mark.parametrize("eps_mode", ["absolute", "relative"])
+def test_solve_names_an_input_whose_norm_overflows(which, name, eps_mode):
+    # the zero iterate's residual norms are |X|_F and |Y|_F: where one of them
+    # overflows, the loop could only report divergence at iteration 0
+    z, _, _ = synth_scene(SceneSpec(shape=(16, 16, 32), r=2, seed=0))
+    deg = make_degradation(z.shape, 4, 9, 3.3973, IKONOS_BANDS)
+    inputs = [*simulate(z, deg), deg.p1, deg.p2, deg.p3]
+    cfg = SolverConfig(r=2, eps_mode=eps_mode, max_iter=3)
+    large = list(inputs)
+    large[which] = inputs[which] * 1e150
+    _, diag = solve(*large, cfg)
+    assert diag.iterations == 3
+    if eps_mode == "relative":
+        assert diag.eps == cfg.eps * float(np.linalg.norm(large[0]))
+    inputs[which] = inputs[which] * 1e154
+    with pytest.raises(ValueError, match=f"^{name} is too large: its Frobenius norm overflows"):
+        solve(*inputs, cfg)
+
+
 @pytest.mark.parametrize("max_iter", [1, 6])
 def test_solve_forms_no_left_singular_vectors_in_its_loop(monkeypatch, max_iter):
     # every Fourier slice stack of a solve, kkt_check's included, is factored
@@ -837,6 +899,29 @@ def test_solve_frees_the_residual_tensors_before_kkt_check(monkeypatch, eps, ite
     assert alive == [[False] * 4]
 
 
+@pytest.mark.parametrize("eps, iterations", [(1e-5, 3), (1e6, 0)])  # loop runs / never runs
+def test_solve_frees_the_gradient_before_kkt_check(monkeypatch, eps, iterations):
+    # kkt_check takes the gradient's norm, so the last gradient adds nothing to its peak
+    last, alive = [], []
+    gradient, check = solver_module.grad_a, solver_module.kkt_check
+
+    def tracked_gradient(*args):
+        grad = gradient(*args)
+        last[:] = [weakref.ref(grad)]
+        return grad
+
+    def recording_check(*args):
+        alive.append([ref() is not None for ref in last])
+        return check(*args)
+
+    monkeypatch.setattr(solver_module, "grad_a", tracked_gradient)
+    monkeypatch.setattr(solver_module, "kkt_check", recording_check)
+    _, deg, x, y = _small_instance()
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=3, eps=eps))
+    assert diag.iterations == iterations
+    assert alive == [[False]]
+
+
 def test_solve_holds_no_iterate_through_the_next_step(monkeypatch):
     # each step's input state is dead once the step has replaced it: held any
     # longer, its arrays made every protocol-scale solve fault in ~60 MB afresh
@@ -993,7 +1078,8 @@ def test_kkt_zero_data_exact_point():
     )
     state = initial_state(zero, 1.0)
     tensors = _tensors(state, zero)
-    rep = kkt_check(state, PSI, residuals(tensors), grad_a(state, zero, tensors),
+    grad_norm = np.linalg.norm(grad_a(state, zero, tensors))
+    rep = kkt_check(state, PSI, residuals(tensors), grad_norm,
                     Diagnostics(tau=8.0, tau_mode="safe", eps=1e-5, eps_mode="absolute"))
     assert rep.passed
     assert rep.grad_norm == 0.0

@@ -109,6 +109,11 @@ def test_tproduct_rejects_mismatch():
         t_product(np.zeros((3, 2, 4)), np.zeros((2, 2, 5)))
 
 
+def test_tproduct_rejects_a_matrix():
+    with pytest.raises(ValueError, match="^t_product expects two 3-way tensors$"):
+        t_product(np.zeros((3, 2)), np.zeros((2, 2, 4)))
+
+
 def test_tsvd_identity_tensor():
     fac = t_svd(identity_tensor(4, 3))
     assert np.allclose(fac.s, identity_tensor(4, 3), atol=1e-12)
@@ -260,6 +265,18 @@ def _grid_prox_oracle(s, rho, psi, step=1e-5):
 def test_scalar_prox_at_zero():
     for rho in (1e-3, 1.0, 1e3):
         assert scalar_prox(0.0, rho, PSI) == 0.0
+
+
+def test_scalar_prox_rejects_a_negative_input():
+    with pytest.raises(ValueError, match="^prox input must be nonnegative, got -1.0$"):
+        scalar_prox(-1.0, 1.0, PSI)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("prox", [prox_singular_values, ntpnn_prox])
+def test_proxes_reject_a_non_positive_rho(prox, rho):
+    with pytest.raises(ValueError, match=f"^rho must be positive, got {rho}$"):
+        prox(np.ones((2, 2, 3)), rho, PSI)
 
 
 def test_scalar_prox_large_rho_tracks_input():
