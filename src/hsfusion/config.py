@@ -1,10 +1,10 @@
 """Flat key=value run configuration shared by the CLI commands.
 
 Unknown keys are rejected; every value is range-checked against the solver
-and degradation invariants, and the float keys must be finite. Command-line
-flags override file values, which override the defaults of ``RunConfig``.
-``RunConfig`` extends ``SolverConfig``, so each solver key, its default and
-its checks are declared once, there.
+and degradation invariants, the float keys must be finite and the integer
+keys integers. Command-line flags override file values, which override the
+defaults of ``RunConfig``. ``RunConfig`` extends ``SolverConfig``, so each
+solver key, its default and its checks are declared once, there.
 
 This module imports no numpy, so a command that only reads its configuration
 (or none) starts without the numerical stack.
@@ -40,11 +40,13 @@ class SolverConfig:
     eps_mode: str = "absolute"
 
     def __post_init__(self):
-        for name, value in (("r", self.r), ("max_iter", self.max_iter)):
+        for f in fields(self):  # RunConfig's fields too, whose r may be None
+            value = getattr(self, f.name)
             # numpy integers are Integral; so is bool, which is no count
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.r < 1:
+            count = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if f.type in (int, int | None) and not (count or value is None and f.type != int):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if self.r is not None and self.r < 1:
             raise ValueError(f"subspace dimension must be >= 1, got {self.r}")
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
@@ -76,8 +78,8 @@ class RunConfig(SolverConfig):
     peak: float | None = None
 
     def __post_init__(self):
-        # built only for its checks, so a bad solver key fails before any input is read
-        self._solver_config(1 if self.r is None else self.r)
+        # SolverConfig's checks, the integer rule included: a bad key fails before any input
+        super().__post_init__()
         if self.factor < 1:
             raise ValueError(f"factor must be >= 1, got {self.factor}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -86,8 +88,8 @@ class RunConfig(SolverConfig):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.peak is not None and not (self.peak > 0 and math.isfinite(self.peak)):
-            raise ValueError(f"peak must be positive and finite, got {self.peak}")
+        if self.peak is not None and not (self.peak > 0 and math.isfinite(self.peak * self.peak)):
+            raise ValueError(f"peak must be positive and finite, its square too, got {self.peak}")
 
     def require_r(self):
         if self.r is None:
@@ -96,11 +98,8 @@ class RunConfig(SolverConfig):
         return self.r
 
     def solver_config(self):
-        return self._solver_config(self.require_r())
-
-    def _solver_config(self, r):
         values = {f.name: getattr(self, f.name) for f in fields(SolverConfig)}
-        return SolverConfig(**{**values, "r": r})
+        return SolverConfig(**{**values, "r": self.require_r()})
 
 
 # Every run key and the type its text parses to (``int | None`` parses as

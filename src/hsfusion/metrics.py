@@ -5,13 +5,15 @@ Conventions (they matter when comparing against published tables):
 * PSNR is computed per band and averaged; zero-error bands contribute a
   finite cap (default 100 dB). A whole-cube variant is available via
   ``per_band=False``; its MSE is the mean of the per-band MSEs.
-* ERGAS uses the spatial resolution ratio directly (100/ratio * ...);
-  zero-mean reference bands are excluded with a warning.
+* ERGAS uses the spatial resolution ratio directly (100/ratio * ...), which
+  must be positive and finite; zero-mean reference bands are excluded with a
+  warning.
 * SAM is the mean per-pixel spectral angle in degrees; pixels whose
   reference or estimate spectrum is identically zero are skipped.
 * SSIM is single-scale with an 11x11 Gaussian window (sigma 1.5) and the
   standard constants C1=(0.01 peak)^2, C2=(0.03 peak)^2, computed on the
-  valid interior and averaged over bands.
+  valid interior and averaged over bands. PSNR and SSIM take a positive
+  peak whose square is finite.
 
 PSNR and ERGAS share the per-band squared-error sums, which are streamed in
 slabs of 16 rows (``_SLAB_ROWS``). SSIM filters its output in blocks that
@@ -103,8 +105,8 @@ def _band_mse(ref, est):
 
 
 def _psnr(mse, peak, cap):
-    if not peak > 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not (peak > 0 and np.isfinite(float(peak) * float(peak))):
+        raise ValueError(f"peak must be positive and finite, its square too, got {peak}")
     out = np.full(mse.shape, float(cap))
     pos = mse > 0
     out[pos] = 10.0 * np.log10(peak * peak / mse[pos])
@@ -121,8 +123,8 @@ def psnr(ref, est, peak, cap=PSNR_CAP_DB, per_band=True):
 
 
 def _ergas(mse, ref, ratio):
-    if not ratio > 0:
-        raise ValueError(f"resolution ratio must be positive, got {ratio}")
+    if not (ratio > 0 and np.isfinite(ratio)):
+        raise ValueError(f"resolution ratio must be positive and finite, got {ratio}")
     mu = ref.mean(axis=(0, 1))
     usable = mu != 0
     if not usable.any():
@@ -207,8 +209,8 @@ def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
     win_sigma)``, so ``win_size`` must be odd.
     """
     ref, est = _check_same_shape(ref, est)
-    if not peak > 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not (peak > 0 and np.isfinite(float(peak) * float(peak))):
+        raise ValueError(f"peak must be positive and finite, its square too, got {peak}")
     if ref.shape[0] < win_size or ref.shape[1] < win_size:
         raise DimensionError(
             f"image {ref.shape[:2]} smaller than the {win_size}x{win_size} window"

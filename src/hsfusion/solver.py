@@ -345,12 +345,12 @@ def kkt_check(state, psi, res, grad_norm, diagnostics):
 
 def _iterates(problem, psi, tau, nu, state):
     """The linearized-ADMM iterates from ``state``, that state first, each as
-    ``(state, diffs, res, norms, rho)``: the differences of its a, its
-    residual norms, the norms of the gradient at it and of the multipliers
-    m = rho u, and the penalty its step used. The gradient itself stays here.
-    Raises DivergenceError at the first non-finite iterate. The caller lets go
-    of the state and diffs before it resumes, so no iterate outlives the next step.
-    """
+    ``(state, res, trace)``: its residual norms and its value of each
+    :class:`Diagnostics` trace but ``wall_time``, by name (``objective`` is None
+    for the zero state, which is not recorded). The gradient and the differences
+    stay here, so a new trace is one Diagnostics field and one entry in ``trace``.
+    Raises DivergenceError at the first non-finite iterate. The caller lets go of
+    the state before it resumes, so no iterate outlives the next step."""
     diffs = (difference(state.a, 1), difference(state.a, 2))
     tensors = _residual_tensors(state, problem, diffs)
     rho = state.rho
@@ -364,7 +364,10 @@ def _iterates(problem, psi, tau, nu, state):
         if not (np.isfinite(res).all() and np.isfinite(norms).all()):
             raise DivergenceError("a residual, gradient or multiplier norm became non-finite "
                                   f"at iteration {state.iter}")
-        yield state, diffs, res, norms, rho
+        yield state, res, dict(
+            res_x=res[0], res_y=res[1], res_g1=res[2], res_g2=res[3], rho=rho,
+            objective=nms_tctv(state.a, psi, diffs) if state.iter else None,
+            grad_norm=norms[0], mx_norm=norms[1], my_norm=norms[2])
         del diffs
         with np.errstate(over="ignore", invalid="ignore"):
             state = step_a(state, tau, grad)
@@ -419,14 +422,11 @@ def solve(x, y, p1, p2, p3, config):
     diag = Diagnostics(tau=tau, tau_mode=config.tau_mode, eps=eps,
                        eps_mode=config.eps_mode)
     iterates = _iterates(problem, psi, tau, config.nu, initial_state(problem, config.rho0))
-    for state, diffs, res, norms, rho in iterates:
+    for state, res, trace in iterates:
         # the zero state comes first, untimed and untraced
         if state.iter:
-            diag.record(res_x=res[0], res_y=res[1], res_g1=res[2], res_g2=res[3],
-                        rho=rho, objective=nms_tctv(state.a, psi, diffs),
-                        grad_norm=norms[0], mx_norm=norms[1], my_norm=norms[2])
+            diag.record(**trace)
             diag.record(wall_time=time.perf_counter() - t_start)
-        del diffs
         reason = _stop_reason(res, state.iter, eps, config.max_iter)
         if reason is not None:
             break
@@ -436,6 +436,6 @@ def solve(x, y, p1, p2, p3, config):
     iterates.close()  # frees the last residual tensors before kkt_check and z_hat
     diag.iterations = state.iter
     diag.converged = reason == "tol"
-    diag.kkt = kkt_check(state, psi, res, norms[0], diag)
+    diag.kkt = kkt_check(state, psi, res, trace["grad_norm"], diag)
     z_hat = mode_n_product(state.a, s, 3)
     return z_hat, diag

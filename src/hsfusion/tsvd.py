@@ -215,8 +215,6 @@ def ntpnn_prox(c, rho, psi):
     since s' <= s and s' = 0 where s = 0; so only s and V are computed.
     """
     c = np.asarray(c, dtype=float)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
     slices = _fourier_slices(c)
     s, vh = _thin_slice_svd(slices)
     shrunk = prox_singular_values(s, rho, psi)

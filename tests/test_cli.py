@@ -117,15 +117,35 @@ def test_run_config_solver_defaults_are_solver_configs():
             assert getattr(run, f.name) == getattr(solver, f.name)
 
 
-@pytest.mark.parametrize("cls", [SolverConfig, RunConfig])
-@pytest.mark.parametrize("key, value", [
-    ("max_iter", float("nan")), ("max_iter", 2.5), ("max_iter", True), ("r", 2.0), ("r", True)])
+@pytest.mark.parametrize("cls, key, value", [
+    pytest.param(cls, key, value, id=f"{key}-{value}-{cls.__name__}")
+    for key, value in [("max_iter", float("nan")), ("max_iter", 2.5), ("max_iter", True),
+                       ("r", 2.0), ("r", True), ("factor", 2.0), ("factor", True),
+                       ("kernel_size", 9.0), ("seed", 1.5), ("seed", True)]
+    for cls in (SolverConfig, RunConfig) if key in {f.name for f in fields(cls)}])
 def test_config_requires_integer_r_and_max_iter(cls, key, value):
     want = f"{key} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         cls(**{"r": 2, key: value})
     # numpy integers are integers
     assert getattr(cls(**{"r": 2, key: np.int64(3)}), key) == 3
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SolverConfig(r=0), "subspace dimension must be >= 1, got 0"),
+    (lambda: RunConfig(r=0), "subspace dimension must be >= 1, got 0"),
+    (lambda: SolverConfig(r=1, max_iter=0), "max_iter must be >= 1, got 0"),
+    (lambda: RunConfig(factor=0), "factor must be >= 1, got 0"),
+    (lambda: RunConfig(seed=-1), "seed must be nonnegative, got -1"),
+    (lambda: parse_config_text("r 5\n", "run.cfg"), "run.cfg:1: expected key=value, got 'r 5'"),
+    (lambda: parse_config_text("\nr = two\n", "run.cfg"),
+     "run.cfg:2: bad value for 'r': invalid literal for int() with base 10: 'two'"),
+    (lambda: build_run_config(overrides={"mystery": 1}), "unknown config key 'mystery'"),
+], ids=["r-solver", "r-run", "max_iter", "factor", "seed", "no-equals", "bad-value",
+        "unknown-override"])
+def test_config_guards_name_what_they_reject(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_band_table_names_and_files(tmp_path):
@@ -426,6 +446,20 @@ def test_eval_report_roundtrip(pipeline_dir, tmp_path, capsys):
         assert repr(float(val)) == repr(float(parsed[key]))
 
 
+@pytest.mark.parametrize("peak", ["1e200", "1e160"])
+def test_eval_rejects_a_peak_whose_square_overflows(pipeline_dir, peak):
+    # SSIM's constants square the peak, so a larger one fails before a cube is read
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    z = str(pipeline_dir / "z.cmt")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsfusion.cli", "eval", "--ref", z, "--est", z,
+         "--factor", "4", "--peak", peak],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    want = f"error: peak must be positive and finite, its square too, got {float(peak)!r}\n"
+    assert proc.stderr == want
+
+
 def test_eval_shape_mismatch_exits_nonzero(pipeline_dir, capsys):
     code, _, err = _run(
         capsys, "eval",
@@ -571,6 +605,23 @@ def test_diagnose_malformed_report(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = _run(capsys, "diagnose", "--report", str(path))
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("case", ["zero-side", "2-d-gt", "list-report"])
+def test_cli_guards_name_what_they_reject(tmp_path, capsys, case):
+    if case == "zero-side":
+        argv = ("simulate", "--synthetic", "0x4x4", "--r", "1", "--out-dir", str(tmp_path))
+        want = "shape entries must be positive, got '0x4x4'"
+    elif case == "2-d-gt":
+        write_tensor(tmp_path / "gt.cmt", np.ones((4, 4)))
+        argv = ("simulate", "--gt", str(tmp_path / "gt.cmt"), "--out-dir", str(tmp_path))
+        want = "ground truth must be 3-way, got ndim=2"
+    else:
+        (tmp_path / "rep.json").write_text("[1, 2]")
+        argv = ("diagnose", "--report", str(tmp_path / "rep.json"))
+        want = f"malformed report {tmp_path / 'rep.json'}: not a JSON object with a 'kkt' object"
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {want}\n"
 
 
 def test_cli_error_on_bad_tensor_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hsfusion import (
     gaussian_kernel_1d,
     make_degradation,
     nms_tctv,
+    read_band_table,
     simulate,
     synth_scene,
     unfold,
@@ -209,3 +212,34 @@ def test_scene_spec_validation():
         SceneSpec(shape=(4, 4, 3), r=1, blocks=0)
     with pytest.raises(ValueError):
         SceneSpec(shape=(4, 4, 3), r=1, spectra="fancy")
+
+
+
+_P1, _P3 = np.eye(2, 4), np.full((2, 4), 0.25)
+
+
+@pytest.mark.parametrize("case", ["inverted-band", "empty-table", "even-kernel", "2-d-kernel",
+                                  "p2-keeps-size", "negative-p3", "p3-row-sum", "rank-deficient"])
+def test_degradation_guards_name_what_they_reject(tmp_path, case):
+    bands = tmp_path / "bands.txt"
+    bands.write_text("400 500\n600 600\n" if case == "inverted-band" else "# no bands\n")
+    call, error, message = {
+        "inverted-band": (lambda: read_band_table(str(bands)), ValueError,
+                          f"{bands}:2: band upper bound must exceed lower"),
+        "empty-table": (lambda: read_band_table(str(bands)), ValueError,
+                        f"{bands}: band table is empty"),
+        "even-kernel": (lambda: build_spatial_degradation(8, 2, np.full(4, 0.25)), ValueError,
+                        "kernel must be a 1-d odd-length vector"),
+        "2-d-kernel": (lambda: build_spatial_degradation(8, 2, np.full((3, 3), 1 / 9)),
+                       ValueError, "kernel must be a 1-d odd-length vector"),
+        "p2-keeps-size": (lambda: DegradationSet(p1=_P1, p2=np.eye(4), p3=_P3), DimensionError,
+                          "P2 must reduce its dimension (i2 < I2)"),
+        "negative-p3": (lambda: DegradationSet(p1=_P1, p2=_P1, p3=_P3 - np.eye(2, 4) / 2),
+                        ValueError, "P3 rows must be nonnegative"),
+        "p3-row-sum": (lambda: DegradationSet(p1=_P1, p2=_P1, p3=_P3 / 2), ValueError,
+                       "P3 rows must each sum to 1"),
+        "rank-deficient": (lambda: degradation_module._orthonormalize(np.ones((4, 2))),
+                           ValueError, "spectra matrix is rank deficient"),
+    }[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

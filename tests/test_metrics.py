@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -495,3 +496,35 @@ def test_evaluate_does_not_depend_on_input_layout(layout):
     est = ref + rng.normal(0.0, 0.05, ref.shape)
     want = evaluate(ref, est, ratio=4.0)
     assert evaluate(layout(ref), layout(est), ratio=4.0) == want
+
+
+_PEAK_MESSAGE = "peak must be positive and finite, its square too, got {}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ref, est: psnr(ref, est, np.inf), _PEAK_MESSAGE.format("inf")),
+    (lambda ref, est: psnr(ref, est, 1e200, per_band=False), _PEAK_MESSAGE.format("1e+200")),
+    (lambda ref, est: ssim(ref, est, np.inf), _PEAK_MESSAGE.format("inf")),
+    (lambda ref, est: ssim(ref, est, 1e160), _PEAK_MESSAGE.format("1e+160")),
+    (lambda ref, est: evaluate(ref, est, peak=np.inf), _PEAK_MESSAGE.format("inf")),
+    (lambda ref, est: evaluate(ref, est, ratio=np.inf),
+     "resolution ratio must be positive and finite, got inf"),
+    (lambda ref, est: ergas(ref, est, np.nan), "resolution ratio must be positive and finite, got nan"),
+], ids=["psnr-inf", "psnr-square", "ssim-inf", "ssim-square", "evaluate-peak", "evaluate-ratio",
+        "ergas-nan"])
+def test_metrics_reject_a_peak_or_ratio_they_cannot_use(call, message):
+    # an infinite ratio would score ERGAS 0, and an infinite peak would blame finite inputs
+    ref = np.random.default_rng(21).random((12, 12, 3)) + 0.05
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(ref, ref * 0.9)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: bicubic_upsample(np.ones((4, 4)), 2), DimensionError,
+     "expected a 3-way tensor, got ndim=2"),
+    (lambda: evaluate(-np.ones((12, 12, 3)), -np.ones((12, 12, 3))), MetricUndefinedError,
+     "peak undefined: reference maximum is not positive"),
+], ids=["bicubic-2-d", "evaluate-default-peak"])
+def test_metric_guards_name_what_they_reject(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -204,3 +205,12 @@ def test_tv_sandwich_scale_sweep(alpha):
     rng = np.random.default_rng(13)
     a = rng.standard_normal((6, 6, 4))
     assert check_tv_sandwich(alpha * a, PSI).holds
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tctv(np.ones((3, 3, 2)), modes=(4,)), "modes must be a subset of {1,2,3}, got (4,)"),
+    (lambda: check_rank_sandwich(np.ones((3, 3, 2)), np.eye(2), 3), "mode must be 1 or 2, got 3"),
+], ids=["tctv-mode-4", "sandwich-mode-3"])
+def test_regularizer_guards_name_what_they_reject(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

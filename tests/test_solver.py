@@ -1,3 +1,4 @@
+import itertools
 import re
 import time
 import warnings
@@ -26,6 +27,7 @@ from hsfusion import (
     mode_n_product,
     mode_shuffle,
     mode_unshuffle,
+    nms_tctv,
     ntpnn,
     ntpnn_prox,
     psnr,
@@ -38,6 +40,7 @@ from hsfusion import regularizer as regularizer_module
 from hsfusion import solver as solver_module
 from hsfusion.solver import (
     FusionProblem,
+    SolverState,
     _residual_tensors,
     grad_a,
     initial_state,
@@ -49,7 +52,7 @@ from hsfusion.solver import (
 )
 from hsfusion.tensor import SLAB_ELEMENTS, difference, difference_adjoint
 from hsfusion.tsvd import _subgradient_deviation
-from dataclasses import replace
+from dataclasses import fields, replace
 
 PSI = LogSurrogate(0.1)
 
@@ -960,6 +963,27 @@ def test_solve_leaves_the_numpy_error_state_alone_between_steps(monkeypatch):
     assert seen == [default] * 4
 
 
+def test_iterates_name_every_traced_number():
+    # the generator makes each trace entry, keyed by its Diagnostics name, and
+    # solve records them as they come; the zero state, never recorded, has no objective
+    _, deg, x, y = _small_instance()
+    s = extract_subspace(x, 2)
+    prob = FusionProblem(x=x, y=y, p1=deg.p1, p2=deg.p2, p3=deg.p3, s=s)
+    iterates = solver_module._iterates(prob, PSI, lipschitz_tau(deg.p1, deg.p2, deg.p3, s),
+                                       1.05, initial_state(prob, 1e-3))
+    items = list(itertools.islice(iterates, 4))
+    iterates.close()
+    traces = [f.name for f in fields(Diagnostics) if f.type is list and f.name != "wall_time"]
+    for k, (state, res, trace) in enumerate(items):
+        assert type(state) is SolverState and state.iter == k
+        assert res.shape == (4,) and type(trace) is dict and list(trace) == traces
+        assert [trace[key] for key in traces[:4]] == list(res)
+        assert trace["objective"] == (nms_tctv(state.a, PSI) if k else None)
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=3))
+    for key in traces:
+        assert getattr(diag, key) == [float(trace[key]) for _, _, trace in items[1:]], key
+
+
 def test_stop_reason_boundaries():
     stop, res = solver_module._stop_reason, np.array([1e-3, 0.5, 0.0, 2e-3])
     assert stop(res, 3, 0.5, 10) == "tol"  # at eps exactly
@@ -1084,6 +1108,20 @@ def test_kkt_zero_data_exact_point():
     assert rep.passed
     assert rep.grad_norm == 0.0
     assert rep.subgrad_dev_g1 == 0.0 and rep.subgrad_dev_g2 == 0.0
+
+
+@pytest.mark.parametrize("trace, ratio", [([0.0, 0.0, 2.0], np.inf), ([0.0, 0.0, 0.0], 0.0)])
+def test_kkt_check_reports_growth_over_a_zero_median(trace, ratio):
+    # a zero median has no finite final/median ratio: inf, or 0 when the trace ends at 0
+    zero = FusionProblem(x=np.zeros((3, 2, 8)), y=np.zeros((6, 5, 4)), p1=np.eye(3, 6),
+                         p2=np.eye(2, 5), p3=np.full((4, 8), 0.125), s=np.eye(8, 3))
+    state = initial_state(zero, 1.0)
+    diag = Diagnostics(tau=8.0, tau_mode="safe", eps=1e-5, eps_mode="absolute",
+                       mx_norm=list(trace), my_norm=list(trace))
+    rep = kkt_check(state, PSI, residuals(_tensors(state, zero)), 0.0, diag)
+    assert rep.mx_final_over_median == rep.my_final_over_median == ratio
+    assert rep.mx_trace_max == rep.my_trace_max == max(trace)
+    assert rep.multipliers_bounded
 
 
 def test_kkt_on_converged_small_run():

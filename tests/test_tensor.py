@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -343,3 +344,16 @@ def test_all_finite_scans_without_an_array_sized_mask(transpose):
     # an array-sized boolean mask would be an eighth of the floats; one
     # slab's mask is 128 KiB
     assert peak < view.nbytes / 32
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: unfold(np.ones((2, 2)), 1), DimensionError, "expected a 3-way tensor, got ndim=2"),
+    (lambda: unfold(np.ones((2, 2, 2)), 4), DimensionError, "mode must be 1, 2 or 3, got 4"),
+    (lambda: mode_n_product(np.ones((2, 2, 2)), np.ones((2, 2, 2)), 1), DimensionError,
+     "expected a matrix, got ndim=3"),
+    (lambda: mode_unshuffle(np.ones((2, 2, 2)), 3), ValueError,
+     "shuffle mode must be 1 or 2, got 3"),
+], ids=["2-d-tensor", "mode-4", "3-d-matrix", "unshuffle-mode-3"])
+def test_tensor_guards_name_what_they_reject(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

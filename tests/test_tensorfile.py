@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 import tracemalloc
 
@@ -363,3 +364,30 @@ def test_envi_rejects_each_edge_entry(tmp_path, index):
     hdr = _write_envi(tmp_path, cube, "5", 0)
     with pytest.raises(TensorFileError, match="non-finite values in raster$"):
         read_envi(hdr)
+
+
+_ENVI_FIELDS = "samples = 2\nlines = 2\nbands = 1\ndata type = 5\n"
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("t.cmt", b"CMT1\x01\x03" + struct.pack("<Q", 4), "truncated shape header (error at offset 14)"),
+    ("t.cmt", b"CMT1\x01\x02" + struct.pack("<2Q", 0, 3), "zero dimension in shape (0, 3) at offset 6"),
+    ("x.hdr", _ENVI_FIELDS, "{hdr}: missing ENVI signature line"),
+    ("x.hdr", "ENVI\n" + _ENVI_FIELDS.replace("lines = 2\n", ""), "{hdr}: missing ENVI field 'lines'"),
+    ("x.hdr", "ENVI\n" + _ENVI_FIELDS.replace("bands = 1", "bands = one"),
+     "{hdr}: ENVI field 'bands' is not an integer: 'one'"),
+    ("x.hdr", "ENVI\n" + _ENVI_FIELDS.replace("data type = 5\n", ""),
+     "{hdr}: missing ENVI field 'data type'"),
+    ("x.hdr", "ENVI\n" + _ENVI_FIELDS.replace("data type = 5", "data type = 3"),
+     "{hdr}: unsupported data type 3"),
+], ids=["shape-header", "zero-dimension", "no-envi-line", "missing-field", "non-integer-field",
+        "no-data-type", "unsupported-data-type"])
+def test_file_guards_name_what_they_reject(tmp_path, name, content, message):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+        (tmp_path / "x.img").write_bytes(bytes(32))
+    with pytest.raises(TensorFileError, match=f"^{re.escape(message.format(hdr=path))}$"):
+        load_cube(path)
