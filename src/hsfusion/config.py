@@ -1,10 +1,10 @@
 """Flat key=value run configuration shared by the CLI commands.
 
-Unknown keys are rejected; every value is range-checked against the solver
-and degradation invariants, the float keys must be finite and the integer
-keys integers. Command-line flags override file values, which override the
-defaults of ``RunConfig``. ``RunConfig`` extends ``SolverConfig``, so each
-solver key, its default and its checks are declared once, there.
+Unknown keys are rejected; every value must hold its declared type (never a
+bool), and is range-checked against the solver and degradation invariants, a
+float key to be finite. Command-line flags override file values, which
+override the defaults of ``RunConfig``. ``RunConfig`` extends ``SolverConfig``,
+so each solver key, its default and its checks are declared once, there.
 
 This module imports no numpy, so a command that only reads its configuration
 (or none) starts without the numerical stack.
@@ -40,12 +40,13 @@ class SolverConfig:
     eps_mode: str = "absolute"
 
     def __post_init__(self):
-        for f in fields(self):  # RunConfig's fields too, whose r may be None
-            value = getattr(self, f.name)
-            # numpy integers are Integral; so is bool, which is no count
-            count = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if f.type in (int, int | None) and not (count or value is None and f.type != int):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        kinds = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+                 str: (str, "a string")}  # numpy numbers pass; bool, though Integral, does not
+        for f in fields(self):  # RunConfig's fields too, whose r and peak may be None
+            value, (kind, name) = getattr(self, f.name), kinds[(get_args(f.type) or (f.type,))[0]]
+            if not (isinstance(value, kind) and not isinstance(value, bool)
+                    or value is None and f.type not in kinds):
+                raise ValueError(f"{f.name} must be {name}, got {value!r}")
         if self.r is not None and self.r < 1:
             raise ValueError(f"subspace dimension must be >= 1, got {self.r}")
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
@@ -78,7 +79,7 @@ class RunConfig(SolverConfig):
     peak: float | None = None
 
     def __post_init__(self):
-        # SolverConfig's checks, the integer rule included: a bad key fails before any input
+        # SolverConfig's checks, the type rule included: a bad key fails before any input
         super().__post_init__()
         if self.factor < 1:
             raise ValueError(f"factor must be >= 1, got {self.factor}")
@@ -88,8 +89,9 @@ class RunConfig(SolverConfig):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.peak is not None and not (self.peak > 0 and math.isfinite(self.peak * self.peak)):
-            raise ValueError(f"peak must be positive and finite, its square too, got {self.peak}")
+        peak = self.peak  # its fourth power scales SSIM's C1 C2, so it must be finite too
+        if peak is not None and not (peak > 0 and math.isfinite((p := float(peak)) * p * p * p)):
+            raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
 
     def require_r(self):
         if self.r is None:

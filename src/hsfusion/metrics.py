@@ -13,7 +13,7 @@ Conventions (they matter when comparing against published tables):
 * SSIM is single-scale with an 11x11 Gaussian window (sigma 1.5) and the
   standard constants C1=(0.01 peak)^2, C2=(0.03 peak)^2, computed on the
   valid interior and averaged over bands. PSNR and SSIM take a positive
-  peak whose square is finite.
+  peak whose fourth power, the scale of C1 C2, is finite: about 1.16e77 or less.
 
 PSNR and ERGAS share the per-band squared-error sums, which are streamed in
 slabs of 16 rows (``_SLAB_ROWS``). SSIM filters its output in blocks that
@@ -105,8 +105,8 @@ def _band_mse(ref, est):
 
 
 def _psnr(mse, peak, cap):
-    if not (peak > 0 and np.isfinite(float(peak) * float(peak))):
-        raise ValueError(f"peak must be positive and finite, its square too, got {peak}")
+    if not (peak > 0 and np.isfinite((p := float(peak)) * p * p * p)):
+        raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
     out = np.full(mse.shape, float(cap))
     pos = mse > 0
     out[pos] = 10.0 * np.log10(peak * peak / mse[pos])
@@ -209,8 +209,8 @@ def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
     win_sigma)``, so ``win_size`` must be odd.
     """
     ref, est = _check_same_shape(ref, est)
-    if not (peak > 0 and np.isfinite(float(peak) * float(peak))):
-        raise ValueError(f"peak must be positive and finite, its square too, got {peak}")
+    if not (peak > 0 and np.isfinite((p := float(peak)) * p * p * p)):
+        raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
     if ref.shape[0] < win_size or ref.shape[1] < win_size:
         raise DimensionError(
             f"image {ref.shape[:2]} smaller than the {win_size}x{win_size} window"
@@ -318,6 +318,8 @@ def evaluate(ref, est, peak=None, ratio=1.0):
             raise MetricUndefinedError(
                 "peak undefined: reference maximum is not positive"
             )
+        if not np.isfinite(peak * peak * peak * peak):
+            raise MetricUndefinedError(f"peak undefined: reference maximum {peak} is too large")
     return MetricReport(
         psnr=_psnr(mse, peak, PSNR_CAP_DB),
         ergas=_ergas(mse, ref, ratio),

@@ -132,10 +132,10 @@ class KKTReport:
 class Diagnostics:
     """Per-iteration trajectories plus the final optimality report.
 
-    ``eps`` is the effective absolute threshold the stop rule used (already
-    scaled by |X|_F when the solver ran in relative mode). ``wall_time[k]``
-    is the seconds iteration k took, its own diagnostics included. Every
-    list field is a trace, and :meth:`record` is its one writer.
+    ``eps`` is the effective absolute threshold the stop rule used (already scaled by |X|_F
+    when the solver ran in relative mode). ``wall_time[k]`` is the seconds from resuming the
+    loop to its yield of iterate k, with the diagnostics yielded but not their recording or
+    the stop test. Every list field is a trace, and :meth:`record` is its one writer.
     """
 
     tau: float
@@ -344,13 +344,12 @@ def kkt_check(state, psi, res, grad_norm, diagnostics):
 
 
 def _iterates(problem, psi, tau, nu, state):
-    """The linearized-ADMM iterates from ``state``, that state first, each as
-    ``(state, res, trace)``: its residual norms and its value of each
-    :class:`Diagnostics` trace but ``wall_time``, by name (``objective`` is None
-    for the zero state, which is not recorded). The gradient and the differences
-    stay here, so a new trace is one Diagnostics field and one entry in ``trace``.
-    Raises DivergenceError at the first non-finite iterate. The caller lets go of
-    the state before it resumes, so no iterate outlives the next step."""
+    """The linearized-ADMM iterates from ``state`` on, each as ``(state, res, trace)``: its
+    residual norms and its :class:`Diagnostics` traces by name, in field order (``objective``
+    and ``wall_time``, the seconds from resume to yield, are None for the zero state, which is
+    not recorded). The gradient, differences and clock stay here, so a new trace is one field
+    and one ``trace`` entry. Raises DivergenceError at the first non-finite iterate. The
+    caller drops each state before resuming, so no iterate outlives the next step."""
     diffs = (difference(state.a, 1), difference(state.a, 2))
     tensors = _residual_tensors(state, problem, diffs)
     rho = state.rho
@@ -367,7 +366,9 @@ def _iterates(problem, psi, tau, nu, state):
         yield state, res, dict(
             res_x=res[0], res_y=res[1], res_g1=res[2], res_g2=res[3], rho=rho,
             objective=nms_tctv(state.a, psi, diffs) if state.iter else None,
-            grad_norm=norms[0], mx_norm=norms[1], my_norm=norms[2])
+            grad_norm=norms[0], wall_time=time.perf_counter() - t_start if state.iter else None,
+            mx_norm=norms[1], my_norm=norms[2])
+        t_start = time.perf_counter()
         del diffs
         with np.errstate(over="ignore", invalid="ignore"):
             state = step_a(state, tau, grad)
@@ -426,13 +427,10 @@ def solve(x, y, p1, p2, p3, config):
         # the zero state comes first, untimed and untraced
         if state.iter:
             diag.record(**trace)
-            diag.record(wall_time=time.perf_counter() - t_start)
-        reason = _stop_reason(res, state.iter, eps, config.max_iter)
-        if reason is not None:
+        if (reason := _stop_reason(res, state.iter, eps, config.max_iter)) is not None:
             break
         # not held through the next step: that made each protocol-scale solve fault ~60 MB in
         del state
-        t_start = time.perf_counter()
     iterates.close()  # frees the last residual tensors before kkt_check and z_hat
     diag.iterations = state.iter
     diag.converged = reason == "tol"

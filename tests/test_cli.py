@@ -131,6 +131,26 @@ def test_config_requires_integer_r_and_max_iter(cls, key, value):
     assert getattr(cls(**{"r": 2, key: np.int64(3)}), key) == 3
 
 
+@pytest.mark.parametrize("cls, key, value, kind", [
+    pytest.param(cls, key, value, kind, id=f"{key}-{value!r}-{cls.__name__}")
+    for key, value, kind in [("gamma", True, "a real number"), ("eps", True, "a real number"),
+                             ("rho0", "1e-3", "a real number"), ("gamma", None, "a real number"),
+                             ("sigma", True, "a real number"), ("peak", True, "a real number"),
+                             ("band_table", 3, "a string"), ("tau_mode", None, "a string")]
+    for cls in (SolverConfig, RunConfig) if key in {f.name for f in fields(cls)}])
+def test_config_float_and_text_keys_require_their_type(cls, key, value, kind):
+    want = f"{key} must be {kind}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        cls(**{"r": 2, key: value})
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), 2])
+@pytest.mark.parametrize("cls, key", [(SolverConfig, "gamma"), (SolverConfig, "eps"),
+                                      (RunConfig, "sigma"), (RunConfig, "peak")])
+def test_config_float_keys_take_numpy_floats_and_integers(cls, key, value):
+    assert getattr(cls(**{"r": 2, key: value}), key) == value
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: SolverConfig(r=0), "subspace dimension must be >= 1, got 0"),
     (lambda: RunConfig(r=0), "subspace dimension must be >= 1, got 0"),
@@ -446,9 +466,10 @@ def test_eval_report_roundtrip(pipeline_dir, tmp_path, capsys):
         assert repr(float(val)) == repr(float(parsed[key]))
 
 
-@pytest.mark.parametrize("peak", ["1e200", "1e160"])
+@pytest.mark.parametrize("peak", ["1e200", "1e160", "1e80"])
 def test_eval_rejects_a_peak_whose_square_overflows(pipeline_dir, peak):
-    # SSIM's constants square the peak, so a larger one fails before a cube is read
+    # SSIM multiplies its constants, each a square of the peak, so a peak whose fourth
+    # power overflows fails before a cube is read, with one line and no traceback
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     z = str(pipeline_dir / "z.cmt")
     proc = subprocess.run(
@@ -456,7 +477,7 @@ def test_eval_rejects_a_peak_whose_square_overflows(pipeline_dir, peak):
          "--factor", "4", "--peak", peak],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 1 and proc.stdout == ""
-    want = f"error: peak must be positive and finite, its square too, got {float(peak)!r}\n"
+    want = f"error: peak must be positive and finite, its fourth power too, got {float(peak)!r}\n"
     assert proc.stderr == want
 
 

@@ -498,7 +498,7 @@ def test_evaluate_does_not_depend_on_input_layout(layout):
     assert evaluate(layout(ref), layout(est), ratio=4.0) == want
 
 
-_PEAK_MESSAGE = "peak must be positive and finite, its square too, got {}"
+_PEAK_MESSAGE = "peak must be positive and finite, its fourth power too, got {}"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -506,14 +506,16 @@ _PEAK_MESSAGE = "peak must be positive and finite, its square too, got {}"
     (lambda ref, est: psnr(ref, est, 1e200, per_band=False), _PEAK_MESSAGE.format("1e+200")),
     (lambda ref, est: ssim(ref, est, np.inf), _PEAK_MESSAGE.format("inf")),
     (lambda ref, est: ssim(ref, est, 1e160), _PEAK_MESSAGE.format("1e+160")),
+    (lambda ref, est: ssim(ref, est, 1e80), _PEAK_MESSAGE.format("1e+80")),
     (lambda ref, est: evaluate(ref, est, peak=np.inf), _PEAK_MESSAGE.format("inf")),
     (lambda ref, est: evaluate(ref, est, ratio=np.inf),
      "resolution ratio must be positive and finite, got inf"),
     (lambda ref, est: ergas(ref, est, np.nan), "resolution ratio must be positive and finite, got nan"),
-], ids=["psnr-inf", "psnr-square", "ssim-inf", "ssim-square", "evaluate-peak", "evaluate-ratio",
-        "ergas-nan"])
+], ids=["psnr-inf", "psnr-square", "ssim-inf", "ssim-square", "ssim-fourth-power",
+        "evaluate-peak", "evaluate-ratio", "ergas-nan"])
 def test_metrics_reject_a_peak_or_ratio_they_cannot_use(call, message):
-    # an infinite ratio would score ERGAS 0, and an infinite peak would blame finite inputs
+    # an infinite ratio would score ERGAS 0, and a peak whose fourth power overflows makes
+    # SSIM's C1 C2 overflow and so would blame finite inputs
     ref = np.random.default_rng(21).random((12, 12, 3)) + 0.05
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(ref, ref * 0.9)
@@ -524,7 +526,12 @@ def test_metrics_reject_a_peak_or_ratio_they_cannot_use(call, message):
      "expected a 3-way tensor, got ndim=2"),
     (lambda: evaluate(-np.ones((12, 12, 3)), -np.ones((12, 12, 3))), MetricUndefinedError,
      "peak undefined: reference maximum is not positive"),
-], ids=["bicubic-2-d", "evaluate-default-peak"])
+    (lambda: evaluate(np.full((12, 12, 3), 1e100), np.full((12, 12, 3), 1e100)),
+     MetricUndefinedError, "peak undefined: reference maximum 1e+100 is too large"),
+    (lambda: evaluate(np.full((12, 12, 3), 1e200), np.full((12, 12, 3), 1e200)),
+     MetricUndefinedError, "peak undefined: reference maximum 1e+200 is too large"),
+], ids=["bicubic-2-d", "evaluate-default-peak", "evaluate-default-peak-1e100",
+        "evaluate-default-peak-1e200"])
 def test_metric_guards_name_what_they_reject(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

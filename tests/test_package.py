@@ -1,5 +1,6 @@
 """The package root resolves its public names on first use."""
 
+import ast
 import importlib
 import json
 import os
@@ -54,3 +55,18 @@ def test_package_import_loads_no_submodule():
     assert "numpy" not in after
     # a submodule is an attribute of the package before anything imported it
     assert submodule == "hsfusion.tensorfile"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every absolute import in the package names a standard-library module or numpy
+    for path in sorted((SRC / "hsfusion").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", f"{path.name}: {name}"

@@ -964,8 +964,9 @@ def test_solve_leaves_the_numpy_error_state_alone_between_steps(monkeypatch):
 
 
 def test_iterates_name_every_traced_number():
-    # the generator makes each trace entry, keyed by its Diagnostics name, and
-    # solve records them as they come; the zero state, never recorded, has no objective
+    # the generator makes each trace entry, its clock included, keyed by its Diagnostics
+    # name, and solve records them as they come; the zero state, never recorded, has
+    # neither an objective nor a wall time
     _, deg, x, y = _small_instance()
     s = extract_subspace(x, 2)
     prob = FusionProblem(x=x, y=y, p1=deg.p1, p2=deg.p2, p3=deg.p3, s=s)
@@ -973,14 +974,19 @@ def test_iterates_name_every_traced_number():
                                        1.05, initial_state(prob, 1e-3))
     items = list(itertools.islice(iterates, 4))
     iterates.close()
-    traces = [f.name for f in fields(Diagnostics) if f.type is list and f.name != "wall_time"]
+    traces = [f.name for f in fields(Diagnostics) if f.type is list]
     for k, (state, res, trace) in enumerate(items):
         assert type(state) is SolverState and state.iter == k
         assert res.shape == (4,) and type(trace) is dict and list(trace) == traces
         assert [trace[key] for key in traces[:4]] == list(res)
         assert trace["objective"] == (nms_tctv(state.a, PSI) if k else None)
+        if k:
+            assert type(trace["wall_time"]) is float and trace["wall_time"] > 0
+        else:
+            assert trace["wall_time"] is None
     _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=3))
-    for key in traces:
+    # timings do not repeat from one run to the next
+    for key in (key for key in traces if key != "wall_time"):
         assert getattr(diag, key) == [float(trace[key]) for _, _, trace in items[1:]], key
 
 
