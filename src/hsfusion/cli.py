@@ -9,9 +9,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .config import KEYS, build_run_config, load_config_file
 from .errors import FusionError
+
+# the files simulate writes as <name>.cmt and fuse reads from --<name>
+_FILES = ("x", "y", "p1", "p2", "p3")
 
 
 def _add_config_flags(parser):
@@ -66,11 +70,8 @@ def _cmd_simulate(args):
     deg = make_degradation(z.shape, cfg.factor, cfg.kernel_size, cfg.sigma,
                            read_band_table(cfg.band_table))
     x, y = simulate(z, deg)
-    write_tensor(os.path.join(out_dir, "x.cmt"), x)
-    write_tensor(os.path.join(out_dir, "y.cmt"), y)
-    write_tensor(os.path.join(out_dir, "p1.cmt"), deg.p1)
-    write_tensor(os.path.join(out_dir, "p2.cmt"), deg.p2)
-    write_tensor(os.path.join(out_dir, "p3.cmt"), deg.p3)
+    for name, t in zip(_FILES, (x, y, deg.p1, deg.p2, deg.p3)):
+        write_tensor(os.path.join(out_dir, f"{name}.cmt"), t)
     print(
         f"simulate: wrote x{x.shape} y{y.shape} and operators to {out_dir}"
     )
@@ -79,15 +80,11 @@ def _cmd_simulate(args):
 
 def _cmd_fuse(args):
     from .solver import solve
-    from .tensorfile import load_cube, read_tensor, write_tensor
+    from .tensorfile import load_cube, write_tensor
 
     cfg = _config_from_args(args)
-    x = load_cube(args.x)
-    y = load_cube(args.y)
-    p1 = read_tensor(args.p1)
-    p2 = read_tensor(args.p2)
-    p3 = read_tensor(args.p3)
-    z_hat, diag = solve(x, y, p1, p2, p3, cfg.solver_config())
+    inputs = [load_cube(getattr(args, name)) for name in _FILES]
+    z_hat, diag = solve(*inputs, cfg.solver_config())
     write_tensor(args.out, z_hat)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -109,13 +106,7 @@ def _cmd_eval(args):
     ref = load_cube(args.ref)
     est = load_cube(args.est)
     report = evaluate(ref, est, peak=cfg.peak, ratio=float(cfg.factor))
-    lines = [
-        f"psnr={report.psnr:.17g}",
-        f"ergas={report.ergas:.17g}",
-        f"sam={report.sam:.17g}",
-        f"ssim={report.ssim:.17g}",
-    ]
-    text = "\n".join(lines) + "\n"
+    text = "".join(f"{f.name}={getattr(report, f.name):.17g}\n" for f in fields(report))
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -132,21 +123,25 @@ _PASS_FIELDS = ("residual_x", "residual_y", "residual_g1", "residual_g2", "grad_
 
 def _report_fault(report, csv):
     """What keeps ``diagnose`` from reading ``report``, or None: every key,
-    number and trace length it reads (the traces only with ``csv``)."""
+    number and trace length it reads (the traces only with ``csv``), with
+    ``converged`` a boolean and ``iterations`` a non-negative integer."""
     if not isinstance(report, dict) or not isinstance(report.get("kkt") or {}, dict):
         return "not a JSON object with a 'kkt' object"
     traces = _TRACES if csv else ()
-    missing = [key for key in ("converged", "iterations", *traces) if key not in report]
+    # exact JSON types: true and false load as bools, which isinstance counts as ints
+    iters = report.get("iterations")
+    missing = [key for key, ok in (("converged", type(report.get("converged")) is bool),
+                                   ("iterations", type(iters) is int and iters >= 0)) if not ok]
+    missing += [key for key in traces if key not in report]
     kkt = report.get("kkt") or {}
     if report.get("converged") and kkt.get("passed"):
-        missing += [f"kkt.{key}" for key in _PASS_FIELDS
-                    if not isinstance(kkt.get(key), (int, float))]
+        missing += [f"kkt.{key}" for key in _PASS_FIELDS if type(kkt.get(key)) not in (int, float)]
     if missing:
         return f"no usable {missing[0]!r}"
     for key in traces:
         trace = report[key]
         if not (isinstance(trace, list) and len(trace) == report["iterations"]
-                and all(isinstance(v, (int, float)) for v in trace)):
+                and all(type(v) in (int, float) for v in trace)):
             return f"{key!r} does not hold one number per iteration"
     return None
 
@@ -206,11 +201,8 @@ def _build_parser():
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_fuse = sub.add_parser("fuse", help="run the fusion solver")
-    p_fuse.add_argument("--x", required=True)
-    p_fuse.add_argument("--y", required=True)
-    p_fuse.add_argument("--p1", required=True)
-    p_fuse.add_argument("--p2", required=True)
-    p_fuse.add_argument("--p3", required=True)
+    for name in _FILES:
+        p_fuse.add_argument("--" + name, required=True)
     p_fuse.add_argument("--out", default="z_hat.cmt")
     p_fuse.add_argument("--report", default=None)
     _add_config_flags(p_fuse)

@@ -43,6 +43,8 @@ def write_tensor(path, t):
     t = np.asarray(t, dtype="<f8")
     if t.ndim not in (2, 3):
         raise ValueError(f"only 2- or 3-way arrays are supported, got ndim={t.ndim}")
+    if 0 in t.shape:
+        raise ValueError(f"zero dimension in shape {t.shape}; read_tensor refuses it")
     if not all_finite(t):
         raise ValueError("refusing to write non-finite values")
     # no copy for a C-order array, which is what every caller passes

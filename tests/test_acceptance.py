@@ -45,13 +45,13 @@ from hsfusion import (
 )
 from hsfusion.solver import (
     FusionProblem,
-    _residual_tensors,
     grad_a,
     initial_state,
     l1_objective,
 )
-from hsfusion.tensor import difference
 from hsfusion.tensorfile import read_tensor, write_tensor
+
+from _shared import _tensors
 
 GAMMA = 0.1
 PSI = LogSurrogate(GAMMA)
@@ -162,12 +162,6 @@ def _random_problem_and_state(rng, big, small, r):
         ),
     )
     return prob, state
-
-
-def _tensors(state, prob):
-    """The residual tensors of ``state``, from its own differences of a."""
-    diffs = (difference(state.a, 1), difference(state.a, 2))
-    return _residual_tensors(state, prob, diffs)
 
 
 def test_gradient_matches_finite_differences():

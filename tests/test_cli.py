@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsfusion import SolverConfig, read_tensor, write_tensor
+from hsfusion import MetricReport, SolverConfig, evaluate, read_tensor, write_tensor
 from hsfusion.cli import _build_parser, main
 from hsfusion.config import KEYS, RunConfig, build_run_config, parse_config_text
 from hsfusion.degradation import IKONOS_BANDS, LANDSAT7_BANDS, read_band_table
@@ -79,10 +79,14 @@ def test_config_requires_r_for_solver():
         build_run_config().solver_config()
 
 
-def _config_flag_names(command):
+def _command_parser(command):
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    group = next(g for g in sub.choices[command]._action_groups
+    return sub.choices[command]
+
+
+def _config_flag_names(command):
+    group = next(g for g in _command_parser(command)._action_groups
                  if g.title == "run configuration")
     return {a.dest for a in group._group_actions} - {"config"}
 
@@ -300,6 +304,36 @@ def pipeline_dir(tmp_path_factory):
     return out
 
 
+_FIVE_FILES = {"x.cmt", "y.cmt", "p1.cmt", "p2.cmt", "p3.cmt"}
+
+
+def test_simulate_writes_the_five_files_and_z_only_for_a_synthetic_scene(
+        pipeline_dir, tmp_path, capsys):
+    synthetic, gt = tmp_path / "synthetic", tmp_path / "gt"
+    code, _, _ = _run(capsys, "simulate", "--synthetic", "16x16x32", "--r", "2",
+                      "--factor", "2", "--kernel-size", "3", "--out-dir", str(synthetic))
+    assert code == 0
+    assert {p.name for p in synthetic.iterdir()} == _FIVE_FILES | {"z.cmt"}
+    code, _, _ = _run(capsys, "simulate", "--gt", str(pipeline_dir / "z.cmt"), "--factor", "4",
+                      "--band-table", str(pipeline_dir / "bands.txt"), "--out-dir", str(gt))
+    assert code == 0
+    assert {p.name for p in gt.iterdir()} == _FIVE_FILES
+
+
+def test_fuse_requires_exactly_the_five_input_files():
+    required = [a.option_strings for a in _command_parser("fuse")._actions if a.required]
+    assert required == [["--x"], ["--y"], ["--p1"], ["--p2"], ["--p3"]]
+
+
+@pytest.mark.parametrize("command", [(), ("simulate",), ("fuse",), ("eval",), ("diagnose",)])
+def test_help_renders_and_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(" ".join(("usage: hsfusion", *command)))
+
+
 def test_fuse_converges_and_reports(pipeline_dir, capsys):
     report = json.loads((pipeline_dir / "report.json").read_text())
     assert report["converged"] is True
@@ -424,6 +458,17 @@ def test_eval_self_comparison(pipeline_dir, capsys):
     assert float(values["ergas"]) == 0.0
     assert float(values["sam"]) <= 1e-5
     assert float(values["ssim"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eval_prints_one_line_per_metric_report_field(pipeline_dir, capsys):
+    z, z_hat = pipeline_dir / "z.cmt", pipeline_dir / "z_hat.cmt"
+    code, out, _ = _run(capsys, "eval", "--ref", str(z), "--est", str(z_hat), "--factor", "4")
+    assert code == 0
+    report = evaluate(read_tensor(z), read_tensor(z_hat), ratio=4.0)
+    names = [f.name for f in fields(MetricReport)]
+    assert names == ["psnr", "ergas", "sam", "ssim"]
+    assert out.splitlines() == [f"{name}={getattr(report, name):.17g}" for name in names]
+    assert out.endswith("\n")
 
 
 def test_eval_fused_beats_bicubic(pipeline_dir, tmp_path, capsys):
@@ -567,6 +612,12 @@ def _report(iterations, converged=True, kkt=None):
     }
 
 
+# a kkt object whose PASS line diagnose can print
+_PASSING_KKT = {"passed": True, **dict.fromkeys(
+    ("residual_x", "residual_y", "residual_g1", "residual_g2", "grad_norm",
+     "subgrad_dev_g1", "subgrad_dev_g2"), 1e-9)}
+
+
 def _diagnose_fails(capsys, tmp_path, report, *flags):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(report))
@@ -601,9 +652,7 @@ def test_diagnose_reads_no_trace_without_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["residual_g2", "grad_norm", "subgrad_dev_g1"])
 def test_diagnose_pass_line_rejects_a_kkt_without_its_fields(tmp_path, capsys, key):
-    fields = ("residual_x", "residual_y", "residual_g1", "residual_g2", "grad_norm",
-              "subgrad_dev_g1", "subgrad_dev_g2")
-    kkt = {"passed": True, **{name: 1e-9 for name in fields}}
+    kkt = dict(_PASSING_KKT)
     del kkt[key]
     err = _diagnose_fails(capsys, tmp_path, _report(1, kkt=kkt))
     assert f"'kkt.{key}'" in err
@@ -612,13 +661,34 @@ def test_diagnose_pass_line_rejects_a_kkt_without_its_fields(tmp_path, capsys, k
     assert f"'kkt.{key}'" in err
 
 
-@pytest.mark.parametrize("spoil", [list.pop, lambda trace: trace.__setitem__(0, None)])
+def _boolean_entry(trace):
+    trace[0] = True
+
+
+@pytest.mark.parametrize("spoil", [list.pop, lambda trace: trace.__setitem__(0, None),
+                                   _boolean_entry])
 def test_diagnose_csv_rejects_traces_without_one_number_per_iteration(tmp_path, capsys, spoil):
     report = _report(3, converged=False)
     spoil(report["res_g1"])
     csv_path = tmp_path / "curves.csv"
     err = _diagnose_fails(capsys, tmp_path, report, "--csv", str(csv_path))
     assert "'res_g1'" in err and not csv_path.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("converged", "no"), ("converged", None), ("converged", 1),
+    ("iterations", "many"), ("iterations", -3), ("iterations", True), ("iterations", 1.0),
+    ("kkt.grad_norm", True), ("kkt.residual_x", False),
+])
+def test_diagnose_rejects_a_value_of_the_wrong_json_type(tmp_path, capsys, key, value):
+    # true and false are no numbers, converged is a boolean and iterations a count
+    report = _report(1, kkt=dict(_PASSING_KKT))
+    if key.startswith("kkt."):
+        report["kkt"][key.removeprefix("kkt.")] = value
+    else:
+        report[key] = value
+    err = _diagnose_fails(capsys, tmp_path, report)
+    assert err.endswith(f": no usable {key!r}\n")
 
 
 def test_diagnose_malformed_report(tmp_path, capsys):

@@ -19,6 +19,8 @@ from hsfusion import (
 )
 from hsfusion.metrics import _BLOCK_BYTES, _SLAB_ROWS, PSNR_CAP_DB, _band_mse, _ssim_block
 
+from _shared import _misaligned_readonly
+
 
 def test_psnr_identical_hits_cap():
     rng = np.random.default_rng(0)
@@ -479,14 +481,6 @@ def test_metrics_reject_sums_that_overflow(metric):
     ref = np.full((20, 20, 4), 1e200)
     with pytest.raises(ValueError, match="overflow"):
         _METRIC_CALLS[metric](ref, np.zeros_like(ref))
-
-
-def _misaligned_readonly(a):
-    """A read-only copy of a whose data starts 30 bytes into a buffer."""
-    raw = bytes(30) + np.ascontiguousarray(a, dtype=float).tobytes()
-    view = np.frombuffer(raw, dtype=float, offset=30).reshape(a.shape)
-    assert not view.flags.aligned and not view.flags.writeable
-    return view
 
 
 @pytest.mark.parametrize("layout", [_misaligned_readonly, np.asfortranarray])

@@ -19,12 +19,9 @@ from hsfusion import (
     tsvd_rank,
 )
 
+from _shared import _semi_unitary
+
 PSI = LogSurrogate(0.1)
-
-
-def _semi_unitary(rng, rows, cols):
-    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
-    return q * np.sign(np.diagonal(r))
 
 
 def test_gradient_constant_tensor():

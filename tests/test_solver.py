@@ -41,7 +41,6 @@ from hsfusion import solver as solver_module
 from hsfusion.solver import (
     FusionProblem,
     SolverState,
-    _residual_tensors,
     grad_a,
     initial_state,
     l1_objective,
@@ -54,12 +53,9 @@ from hsfusion.tensor import SLAB_ELEMENTS, difference, difference_adjoint
 from hsfusion.tsvd import _subgradient_deviation
 from dataclasses import fields, replace
 
+from _shared import _misaligned_readonly, _semi_unitary, _tensors
+
 PSI = LogSurrogate(0.1)
-
-
-def _semi_unitary(rng, rows, cols):
-    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
-    return q * np.sign(np.diagonal(r))
 
 
 def _random_problem(rng, big=(6, 5, 8), small=(3, 2, 4), r=3):
@@ -90,12 +86,6 @@ def _random_state(rng, problem, rho=0.8):
             rng.standard_normal((i1, i2 - 1, r)),
         ),
     )
-
-
-def _tensors(state, problem):
-    """The residual tensors of ``state``, from its own differences of a."""
-    diffs = (difference(state.a, 1), difference(state.a, 2))
-    return _residual_tensors(state, problem, diffs)
 
 
 # broad four-band table: nonempty on any coarse wavelength grid
@@ -765,14 +755,6 @@ def test_solve_forms_no_left_singular_vectors_in_its_loop(monkeypatch, max_iter)
     assert all(shape[1] == shape[2] for shape in stacks)
     # two proxes and the objective trace's two norms per iteration, two KKT checks
     assert len(stacks) == 4 * max_iter + 2
-
-
-def _misaligned_readonly(a):
-    """A read-only copy of a whose data starts 30 bytes into a buffer."""
-    raw = bytes(30) + np.ascontiguousarray(a, dtype=float).tobytes()
-    view = np.frombuffer(raw, dtype=float, offset=30).reshape(np.shape(a))
-    assert not view.flags.aligned and not view.flags.writeable
-    return view
 
 
 def test_solve_does_not_depend_on_input_alignment():

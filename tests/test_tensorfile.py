@@ -122,6 +122,14 @@ def test_write_rejects_bad_inputs(tmp_path):
         write_tensor(tmp_path / "x.cmt", np.array([[np.inf]]))
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0), (3, 0, 2)])
+def test_write_refuses_a_zero_dimension_that_read_would_refuse(tmp_path, shape):
+    path = tmp_path / "t.cmt"
+    with pytest.raises(ValueError, match=re.escape(f"zero dimension in shape {shape}")):
+        write_tensor(path, np.zeros(shape))
+    assert not path.exists() and not (tmp_path / "t.cmt.tmp").exists()
+
+
 def test_non_finite_payload_rejected(tmp_path):
     path = tmp_path / "bad.cmt"
     path.write_bytes(
