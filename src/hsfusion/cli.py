@@ -84,7 +84,8 @@ def _cmd_fuse(args):
 
     cfg = _config_from_args(args)
     inputs = [load_cube(getattr(args, name)) for name in _FILES]
-    z_hat, diag = solve(*inputs, cfg.solver_config())
+    # the objective is traced only for the report that holds it
+    z_hat, diag = solve(*inputs, cfg.solver_config(), trace_objective=bool(args.report))
     write_tensor(args.out, z_hat)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -124,14 +125,17 @@ _PASS_FIELDS = ("residual_x", "residual_y", "residual_g1", "residual_g2", "grad_
 def _report_fault(report, csv):
     """What keeps ``diagnose`` from reading ``report``, or None: every key,
     number and trace length it reads (the traces only with ``csv``), with
-    ``converged`` a boolean and ``iterations`` a non-negative integer."""
+    ``converged`` a boolean, ``iterations`` a non-negative integer, ``tau`` a
+    number and ``tau_mode`` a string."""
     if not isinstance(report, dict) or not isinstance(report.get("kkt") or {}, dict):
         return "not a JSON object with a 'kkt' object"
     traces = _TRACES if csv else ()
     # exact JSON types: true and false load as bools, which isinstance counts as ints
     iters = report.get("iterations")
     missing = [key for key, ok in (("converged", type(report.get("converged")) is bool),
-                                   ("iterations", type(iters) is int and iters >= 0)) if not ok]
+                                   ("iterations", type(iters) is int and iters >= 0),
+                                   ("tau", type(report.get("tau")) in (int, float)),
+                                   ("tau_mode", type(report.get("tau_mode")) is str)) if not ok]
     missing += [key for key in traces if key not in report]
     kkt = report.get("kkt") or {}
     if report.get("converged") and kkt.get("passed"):
@@ -159,7 +163,7 @@ def _cmd_diagnose(args):
     kkt = report.get("kkt") or {}
     print(
         f"iterations={iters} converged={'yes' if report['converged'] else 'no'} "
-        f"tau={report.get('tau')} tau_mode={report.get('tau_mode')}"
+        f"tau={report['tau']} tau_mode={report['tau_mode']}"
     )
     if not report["converged"]:
         print("KKT: NOT CONVERGED (max_iter)")

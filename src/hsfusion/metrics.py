@@ -16,10 +16,11 @@ Conventions (they matter when comparing against published tables):
   peak whose fourth power, the scale of C1 C2, is finite: about 1.16e77 or less.
 
 PSNR and ERGAS share the per-band squared-error sums, which are streamed in
-slabs of 16 rows (``_SLAB_ROWS``). SSIM filters its output in blocks that
-carry all bands and whose inputs fit 1 MiB (``_BLOCK_BYTES``), so they stay
-in cache: full-width slabs of 16 rows where one fits, else 8 rows by a
-multiple of 16 columns (8x32 at 256x256x162; see ``_ssim_block``).
+slabs of 16 rows (``_SLAB_ROWS``) in one pass that also takes the reference's
+band sums and maximum. SSIM filters its output in blocks that carry all bands
+and whose inputs fit 1 MiB (``_BLOCK_BYTES``), so they stay in cache:
+full-width slabs of 16 rows where one fits, else 8 rows by a multiple of 16
+columns (8x32 at 256x256x162; see ``_ssim_block``).
 
 Every metric raises ``ValueError`` ("... contains non-finite entries") when
 an input holds NaN or Inf. It tells from sums it computes anyway (the
@@ -80,28 +81,37 @@ def _require_finite_sums(sums, ref, est):
         raise ValueError("metric sums overflow: input values too large")
 
 
-def _band_mse(ref, est):
-    """Per-band mean squared error, read in slabs of rows.
+def _band_stats(ref, est):
+    """Per-band mean squared error and reference mean, and the reference
+    maximum (-inf for an empty cube), read in one pass of slabs of rows.
 
-    Row 0 of the buffer carries the running per-band sum into each slab's
-    reduction, so the sum runs pixel by pixel as in
-    ``((ref - est) ** 2).mean(axis=(0, 1))``, with the same bits for two or
-    more bands (numpy sums a single band's contiguous column pairwise).
+    Each slab is copied into one buffer, summed, then turned in place into its
+    squared errors and summed again. Row 0 of the buffer carries the running
+    per-band sum into each reduction, so the sums run pixel by pixel as in
+    ``ref.mean(axis=(0, 1))`` and ``((ref - est) ** 2).mean(axis=(0, 1))``,
+    with the same bits for two or more bands (numpy sums a single band's
+    contiguous column pairwise, so that band's mean is taken whole).
     """
     i1, i2, bands = ref.shape
     buf = np.zeros((min(_SLAB_ROWS, i1) * i2 + 1, bands))
-    total = np.zeros(bands)
+    ref_total, err_total = np.zeros((2, bands))
+    ref_max = -np.inf
     with np.errstate(all="ignore"):
         for r in range(0, i1, _SLAB_ROWS):
             n = min(_SLAB_ROWS, i1 - r) * i2
-            err2 = buf[1 : n + 1]
             rows = slice(r, r + _SLAB_ROWS)
-            np.subtract(ref[rows].reshape(n, bands), est[rows].reshape(n, bands), out=err2)
-            err2 *= err2
-            np.sum(buf[: n + 1], axis=0, out=total)
-            buf[0] = total
-    _require_finite_sums(total, ref, est)
-    return total / (i1 * i2)
+            slab = buf[1 : n + 1]
+            slab[...] = ref[rows].reshape(n, bands)
+            buf[0] = ref_total
+            np.sum(buf[: n + 1], axis=0, out=ref_total)
+            ref_max = max(ref_max, float(slab.max(initial=-np.inf)))
+            slab -= est[rows].reshape(n, bands)
+            slab *= slab
+            buf[0] = err_total
+            np.sum(buf[: n + 1], axis=0, out=err_total)
+    _require_finite_sums(err_total, ref, est)
+    mean = ref_total / (i1 * i2) if bands > 1 else ref.mean(axis=(0, 1))
+    return err_total / (i1 * i2), mean, ref_max
 
 
 def _psnr(mse, peak, cap):
@@ -116,16 +126,16 @@ def _psnr(mse, peak, cap):
 def psnr(ref, est, peak, cap=PSNR_CAP_DB, per_band=True):
     """Peak signal-to-noise ratio in dB (per-band average by default)."""
     ref, est = _check_same_shape(ref, est)
-    mse = _band_mse(ref, est)
+    mse, _, _ = _band_stats(ref, est)
     if not per_band:
         mse = mse.mean(keepdims=True)
     return _psnr(mse, peak, cap)
 
 
-def _ergas(mse, ref, ratio):
+def _ergas(mse, mu, ratio):
+    """ERGAS of the per-band mean squared errors ``mse`` and reference means ``mu``."""
     if not (ratio > 0 and np.isfinite(ratio)):
         raise ValueError(f"resolution ratio must be positive and finite, got {ratio}")
-    mu = ref.mean(axis=(0, 1))
     usable = mu != 0
     if not usable.any():
         raise MetricUndefinedError("ERGAS undefined: every reference band has zero mean")
@@ -138,7 +148,8 @@ def _ergas(mse, ref, ratio):
 def ergas(ref, est, ratio):
     """Relative dimensionless global synthesis error (lower is better)."""
     ref, est = _check_same_shape(ref, est)
-    return _ergas(_band_mse(ref, est), ref, ratio)
+    mse, mu, _ = _band_stats(ref, est)
+    return _ergas(mse, mu, ratio)
 
 
 def sam(ref, est):
@@ -311,9 +322,9 @@ def bicubic_upsample(x, factor):
 def evaluate(ref, est, peak=None, ratio=1.0):
     """All four metrics in one report; peak defaults to the reference maximum."""
     ref, est = _check_same_shape(ref, est)
-    mse = _band_mse(ref, est)  # shared by PSNR and ERGAS; rejects NaN and Inf
+    mse, mu, ref_max = _band_stats(ref, est)  # shared by PSNR and ERGAS; rejects NaN and Inf
     if peak is None:
-        peak = float(ref.max())
+        peak = ref_max
         if not peak > 0:
             raise MetricUndefinedError(
                 "peak undefined: reference maximum is not positive"
@@ -322,7 +333,7 @@ def evaluate(ref, est, peak=None, ratio=1.0):
             raise MetricUndefinedError(f"peak undefined: reference maximum {peak} is too large")
     return MetricReport(
         psnr=_psnr(mse, peak, PSNR_CAP_DB),
-        ergas=_ergas(mse, ref, ratio),
+        ergas=_ergas(mse, mu, ratio),
         sam=sam(ref, est),
         ssim=ssim(ref, est, peak),
     )

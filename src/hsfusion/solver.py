@@ -135,7 +135,8 @@ class Diagnostics:
     ``eps`` is the effective absolute threshold the stop rule used (already scaled by |X|_F
     when the solver ran in relative mode). ``wall_time[k]`` is the seconds from resuming the
     loop to its yield of iterate k, with the diagnostics yielded but not their recording or
-    the stop test. Every list field is a trace, and :meth:`record` is its one writer.
+    the stop test. Every list field is a trace, and :meth:`record` is its one writer;
+    ``objective`` stays empty unless the solve was asked to trace it.
     """
 
     tau: float
@@ -343,13 +344,15 @@ def kkt_check(state, psi, res, grad_norm, diagnostics):
     )
 
 
-def _iterates(problem, psi, tau, nu, state):
+def _iterates(problem, psi, tau, nu, state, trace_objective):
     """The linearized-ADMM iterates from ``state`` on, each as ``(state, res, trace)``: its
     residual norms and its :class:`Diagnostics` traces by name, in field order (``objective``
     and ``wall_time``, the seconds from resume to yield, are None for the zero state, which is
-    not recorded). The gradient, differences and clock stay here, so a new trace is one field
-    and one ``trace`` entry. Raises DivergenceError at the first non-finite iterate. The
-    caller drops each state before resuming, so no iterate outlives the next step."""
+    not recorded). ``objective`` is left out unless ``trace_objective``: it factors both
+    gradients' slice stacks again, and no step reads it. The gradient, differences and clock
+    stay here, so a new trace is one field and one ``trace`` entry. Raises DivergenceError at
+    the first non-finite iterate. The caller drops each state before resuming, so no iterate
+    outlives the next step."""
     diffs = (difference(state.a, 1), difference(state.a, 2))
     tensors = _residual_tensors(state, problem, diffs)
     rho = state.rho
@@ -363,9 +366,11 @@ def _iterates(problem, psi, tau, nu, state):
         if not (np.isfinite(res).all() and np.isfinite(norms).all()):
             raise DivergenceError("a residual, gradient or multiplier norm became non-finite "
                                   f"at iteration {state.iter}")
+        objective = {}
+        if trace_objective:
+            objective["objective"] = nms_tctv(state.a, psi, diffs) if state.iter else None
         yield state, res, dict(
-            res_x=res[0], res_y=res[1], res_g1=res[2], res_g2=res[3], rho=rho,
-            objective=nms_tctv(state.a, psi, diffs) if state.iter else None,
+            res_x=res[0], res_y=res[1], res_g1=res[2], res_g2=res[3], rho=rho, **objective,
             grad_norm=norms[0], wall_time=time.perf_counter() - t_start if state.iter else None,
             mx_norm=norms[1], my_norm=norms[2])
         t_start = time.perf_counter()
@@ -390,9 +395,12 @@ def _stop_reason(res, iteration, eps, max_iter):
     return "max_iter" if iteration >= max_iter else None
 
 
-def solve(x, y, p1, p2, p3, config):
+def solve(x, y, p1, p2, p3, config, *, trace_objective=False):
     """Run the full fusion loop; returns (z_hat, diagnostics).
 
+    With ``trace_objective`` the diagnostics also hold the NMS-TCTV objective of every
+    iterate, which costs two more slice-stack factorizations per iteration; without it
+    ``diagnostics.objective`` is empty, and every other output has the same bits.
     Raises DivergenceError if any iterate becomes non-finite; a run that hits
     max_iter without meeting the tolerance returns normally with
     ``diagnostics.converged`` False.
@@ -422,7 +430,8 @@ def solve(x, y, p1, p2, p3, config):
         eps *= x_norm
     diag = Diagnostics(tau=tau, tau_mode=config.tau_mode, eps=eps,
                        eps_mode=config.eps_mode)
-    iterates = _iterates(problem, psi, tau, config.nu, initial_state(problem, config.rho0))
+    iterates = _iterates(problem, psi, tau, config.nu, initial_state(problem, config.rho0),
+                         trace_objective)
     for state, res, trace in iterates:
         # the zero state comes first, untimed and untraced
         if state.iter:

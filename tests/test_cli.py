@@ -359,6 +359,32 @@ def test_fuse_deterministic_output(pipeline_dir, tmp_path, capsys):
     assert out2.read_bytes() == (pipeline_dir / "z_hat.cmt").read_bytes()
 
 
+@pytest.mark.parametrize("with_report", [False, True])
+def test_fuse_traces_the_objective_only_for_its_report(
+        pipeline_dir, tmp_path, capsys, monkeypatch, with_report):
+    from hsfusion import solver as solver_module
+
+    calls, objective = [], solver_module.nms_tctv
+
+    def counting_objective(*args):
+        calls.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(solver_module, "nms_tctv", counting_objective)
+    d, report_path = pipeline_dir, tmp_path / "rep.json"
+    code, _, _ = _run(
+        capsys, "fuse",
+        "--x", str(d / "x.cmt"), "--y", str(d / "y.cmt"),
+        "--p1", str(d / "p1.cmt"), "--p2", str(d / "p2.cmt"), "--p3", str(d / "p3.cmt"),
+        "--r", "2", "--max-iter", "4", "--out", str(tmp_path / "z.cmt"),
+        *(("--report", str(report_path)) if with_report else ()),
+    )
+    assert code == 0
+    assert len(calls) == (4 if with_report else 0)
+    if with_report:
+        assert len(json.loads(report_path.read_text())["objective"]) == 4
+
+
 def test_fuse_names_an_operator_of_the_wrong_rank(pipeline_dir, tmp_path, capsys):
     write_tensor(tmp_path / "p1.cmt", read_tensor(pipeline_dir / "p1.cmt")[..., None])
     code, _, err = _run(
@@ -679,14 +705,24 @@ def test_diagnose_csv_rejects_traces_without_one_number_per_iteration(tmp_path, 
     ("converged", "no"), ("converged", None), ("converged", 1),
     ("iterations", "many"), ("iterations", -3), ("iterations", True), ("iterations", 1.0),
     ("kkt.grad_norm", True), ("kkt.residual_x", False),
+    ("tau", True), ("tau", None), ("tau", "8.0"), ("tau_mode", 3), ("tau_mode", None),
 ])
 def test_diagnose_rejects_a_value_of_the_wrong_json_type(tmp_path, capsys, key, value):
-    # true and false are no numbers, converged is a boolean and iterations a count
+    # true and false are no numbers, converged is a boolean, iterations a count and
+    # tau_mode a string
     report = _report(1, kkt=dict(_PASSING_KKT))
     if key.startswith("kkt."):
         report["kkt"][key.removeprefix("kkt.")] = value
     else:
         report[key] = value
+    err = _diagnose_fails(capsys, tmp_path, report)
+    assert err.endswith(f": no usable {key!r}\n")
+
+
+@pytest.mark.parametrize("extra, key", [({}, "tau"), ({"tau": True, "tau_mode": 3}, "tau"),
+                                        ({"tau": 8.0}, "tau_mode")])
+def test_diagnose_rejects_a_report_without_a_usable_tau(tmp_path, capsys, extra, key):
+    report = {"converged": False, "iterations": 2, "kkt": None, **extra}
     err = _diagnose_fails(capsys, tmp_path, report)
     assert err.endswith(f": no usable {key!r}\n")
 

@@ -17,7 +17,7 @@ from hsfusion import (
     sam,
     ssim,
 )
-from hsfusion.metrics import _BLOCK_BYTES, _SLAB_ROWS, PSNR_CAP_DB, _band_mse, _ssim_block
+from hsfusion.metrics import _BLOCK_BYTES, _SLAB_ROWS, PSNR_CAP_DB, _band_stats, _ssim_block
 
 from _shared import _misaligned_readonly
 
@@ -78,7 +78,7 @@ def test_band_mse_has_the_bits_of_the_whole_cube_reduction(shape):
     ref = rng.random(shape)
     est = ref + rng.normal(0.0, 0.05, shape)
     want = ((ref - est) ** 2).mean(axis=(0, 1))
-    assert _band_mse(ref, est).tobytes() == want.tobytes()
+    assert _band_stats(ref, est)[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("i1", [9, _SLAB_ROWS, 41])
@@ -88,7 +88,31 @@ def test_band_mse_of_one_band(i1):
     ref = rng.random((i1, 13, 1))
     est = ref + rng.normal(0.0, 0.05, ref.shape)
     want = ((ref - est) ** 2).mean(axis=(0, 1))
-    np.testing.assert_allclose(_band_mse(ref, est), want, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(_band_stats(ref, est)[0], want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [*_SLABBED_SHAPES, (9, 7, 1), (41, 6, 1)])
+def test_band_stats_take_the_reference_mean_and_maximum_with_its_bits(shape):
+    # the slab loop's band means and maximum equal the whole-cube reductions bit for bit
+    rng = np.random.default_rng(sum(shape) + 1)
+    ref = rng.random(shape) - 0.25
+    est = ref + rng.normal(0.0, 0.05, shape)
+    _, mean, ref_max = _band_stats(ref, est)
+    assert mean.tobytes() == ref.mean(axis=(0, 1)).tobytes()
+    assert type(ref_max) is float and ref_max == float(ref.max())
+
+
+# odd and even sides at least SSIM's window: shorter than one slab, one slab, a ragged last slab
+@pytest.mark.parametrize("shape", [(11, 12, 5), (16, 13, 4), (41, 14, 3), (32, 11, 2)])
+def test_evaluate_has_the_bits_of_the_whole_cube_formulas(shape):
+    # the default peak is the reference maximum, and ERGAS divides by the band means
+    rng = np.random.default_rng(sum(shape) + 2)
+    ref = rng.random(shape) + 0.05
+    est = ref + rng.normal(0.0, 0.05, shape)
+    mse, mu = ((ref - est) ** 2).mean(axis=(0, 1)), ref.mean(axis=(0, 1))
+    rep = evaluate(ref, est, ratio=4.0)
+    assert rep.psnr == psnr(ref, est, float(ref.max()))
+    assert rep.ergas == float(100.0 / 4.0 * np.sqrt(np.mean(mse / mu**2)))
 
 
 def _traced_peak(metric, *args, **kwargs):

@@ -49,7 +49,7 @@ from hsfusion.solver import (
     step_g,
     update_multipliers,
 )
-from hsfusion.tensor import SLAB_ELEMENTS, difference, difference_adjoint
+from hsfusion.tensor import SLAB_ELEMENTS, difference_adjoint
 from hsfusion.tsvd import _subgradient_deviation
 from dataclasses import fields, replace
 
@@ -747,14 +747,18 @@ def test_solve_forms_no_left_singular_vectors_in_its_loop(monkeypatch, max_iter)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     _, deg, x, y = _small_instance()
-    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=max_iter))
-    assert diag.iterations == max_iter
-    unfoldings = [shape for shape in shapes if len(shape) == 2]
-    assert unfoldings == [(x.shape[2], x.shape[0] * x.shape[1])]
-    stacks = [shape for shape in shapes if len(shape) == 3]
-    assert all(shape[1] == shape[2] for shape in stacks)
-    # two proxes and the objective trace's two norms per iteration, two KKT checks
-    assert len(stacks) == 4 * max_iter + 2
+    # two proxes per iteration, and the objective trace's two norms when traced
+    for trace_objective, stacks_per_iteration in ((False, 2), (True, 4)):
+        shapes.clear()
+        _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=max_iter),
+                        trace_objective=trace_objective)
+        assert diag.iterations == max_iter
+        unfoldings = [shape for shape in shapes if len(shape) == 2]
+        assert unfoldings == [(x.shape[2], x.shape[0] * x.shape[1])]
+        stacks = [shape for shape in shapes if len(shape) == 3]
+        assert all(shape[1] == shape[2] for shape in stacks)
+        # and two KKT checks
+        assert len(stacks) == stacks_per_iteration * max_iter + 2
 
 
 def test_solve_does_not_depend_on_input_alignment():
@@ -769,6 +773,41 @@ def test_solve_does_not_depend_on_input_alignment():
     assert np.array_equal(got, want)
 
 
+def test_solve_without_the_objective_trace_keeps_every_other_output():
+    # the acceptance scene: the untraced solve differs only in its empty objective trace
+    z, _, _ = synth_scene(SceneSpec(shape=(64, 64, 32), r=3, blocks=4, seed=14))
+    deg = make_degradation(z.shape, 4, 9, 3.3973, IKONOS_BANDS)
+    x, y = simulate(z, deg)
+    cfg = SolverConfig(r=3, max_iter=8)
+    runs = [solve(x, y, deg.p1, deg.p2, deg.p3, cfg, trace_objective=trace)
+            for trace in (False, True)]
+    (z_off, off), (z_on, on) = runs
+    assert z_off.tobytes() == z_on.tobytes()
+    assert off.iterations == on.iterations == 8
+    assert off.objective == [] and len(on.objective) == 8
+    assert off.kkt.to_dict() == on.kkt.to_dict()
+    for f in fields(Diagnostics):
+        if f.name not in ("objective", "wall_time", "kkt"):
+            assert getattr(off, f.name) == getattr(on, f.name), f.name
+
+
+@pytest.mark.parametrize("trace_objective, calls_per_iteration", [(False, 0), (True, 1)])
+def test_solve_computes_the_objective_only_when_traced(
+        monkeypatch, trace_objective, calls_per_iteration):
+    calls, objective = [], solver_module.nms_tctv
+
+    def counting_objective(*args):
+        calls.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(solver_module, "nms_tctv", counting_objective)
+    _, deg, x, y = _small_instance()
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=4),
+                    trace_objective=trace_objective)
+    assert diag.iterations == 4
+    assert len(calls) == len(diag.objective) == calls_per_iteration * 4
+
+
 def test_wall_time_covers_each_iteration_and_its_diagnostics(monkeypatch):
     # every iteration's diagnostics take at least `pause`, which each entry must include
     pause = 0.05
@@ -781,7 +820,8 @@ def test_wall_time_covers_each_iteration_and_its_diagnostics(monkeypatch):
     monkeypatch.setattr(solver_module, "nms_tctv", slow_objective)
     _, deg, x, y = _small_instance()
     t0 = time.perf_counter()
-    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=4))
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=4),
+                    trace_objective=True)
     total = time.perf_counter() - t0
     assert diag.iterations == len(diag.wall_time) == 4
     assert min(diag.wall_time) >= pause
@@ -796,17 +836,23 @@ _TRACE_KEYS = _REPORT_KEYS[6:16]  # res_x ... my_norm
 
 @pytest.mark.parametrize("shape, r", [((6, 5, 8), 3), ((2, 2, 1), 1)])
 def test_report_keys_and_traces_keep_their_schema(shape, r):
-    # the report's key order, and one Python float per iteration in every trace
+    # the report's key order, and one Python float per iteration in every trace, the
+    # objective's only when traced
     prob = _random_problem(np.random.default_rng(31), big=shape,
                            small=tuple(max(1, d // 2) for d in shape), r=r)
-    _, diag = solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3,
-                    SolverConfig(r=r, eps=1e-300, max_iter=5))
-    report = diag.to_dict()
-    assert list(report) == _REPORT_KEYS
-    for key in _TRACE_KEYS:
-        trace = report[key]
-        assert len(trace) == diag.iterations == 5, key
-        assert all(type(v) is float for v in trace), key
+    for trace_objective in (False, True):
+        _, diag = solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3,
+                        SolverConfig(r=r, eps=1e-300, max_iter=5),
+                        trace_objective=trace_objective)
+        report = diag.to_dict()
+        assert list(report) == _REPORT_KEYS
+        for key in _TRACE_KEYS:
+            trace = report[key]
+            if key == "objective" and not trace_objective:
+                assert trace == []
+                continue
+            assert len(trace) == diag.iterations == 5, key
+            assert all(type(v) is float for v in trace), key
 
 
 def test_solve_rejects_non_finite_inputs():
@@ -940,7 +986,8 @@ def test_solve_leaves_the_numpy_error_state_alone_between_steps(monkeypatch):
 
         monkeypatch.setattr(solver_module, name, recording)
     _, deg, x, y = _small_instance()
-    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=3))
+    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=3),
+                    trace_objective=True)
     assert diag.iterations == 3
     assert seen == [default] * 4
 
@@ -948,28 +995,34 @@ def test_solve_leaves_the_numpy_error_state_alone_between_steps(monkeypatch):
 def test_iterates_name_every_traced_number():
     # the generator makes each trace entry, its clock included, keyed by its Diagnostics
     # name, and solve records them as they come; the zero state, never recorded, has
-    # neither an objective nor a wall time
+    # neither an objective nor a wall time, and no iterate has an objective untraced
     _, deg, x, y = _small_instance()
     s = extract_subspace(x, 2)
     prob = FusionProblem(x=x, y=y, p1=deg.p1, p2=deg.p2, p3=deg.p3, s=s)
-    iterates = solver_module._iterates(prob, PSI, lipschitz_tau(deg.p1, deg.p2, deg.p3, s),
-                                       1.05, initial_state(prob, 1e-3))
-    items = list(itertools.islice(iterates, 4))
-    iterates.close()
-    traces = [f.name for f in fields(Diagnostics) if f.type is list]
-    for k, (state, res, trace) in enumerate(items):
-        assert type(state) is SolverState and state.iter == k
-        assert res.shape == (4,) and type(trace) is dict and list(trace) == traces
-        assert [trace[key] for key in traces[:4]] == list(res)
-        assert trace["objective"] == (nms_tctv(state.a, PSI) if k else None)
-        if k:
-            assert type(trace["wall_time"]) is float and trace["wall_time"] > 0
-        else:
-            assert trace["wall_time"] is None
-    _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=3))
-    # timings do not repeat from one run to the next
-    for key in (key for key in traces if key != "wall_time"):
-        assert getattr(diag, key) == [float(trace[key]) for _, _, trace in items[1:]], key
+    tau = lipschitz_tau(deg.p1, deg.p2, deg.p3, s)
+    for trace_objective in (False, True):
+        iterates = solver_module._iterates(prob, PSI, tau, 1.05, initial_state(prob, 1e-3),
+                                           trace_objective)
+        items = list(itertools.islice(iterates, 4))
+        iterates.close()
+        traces = [f.name for f in fields(Diagnostics)
+                  if f.type is list and (trace_objective or f.name != "objective")]
+        for k, (state, res, trace) in enumerate(items):
+            assert type(state) is SolverState and state.iter == k
+            assert res.shape == (4,) and type(trace) is dict and list(trace) == traces
+            assert [trace[key] for key in traces[:4]] == list(res)
+            if trace_objective:
+                assert trace["objective"] == (nms_tctv(state.a, PSI) if k else None)
+            if k:
+                assert type(trace["wall_time"]) is float and trace["wall_time"] > 0
+            else:
+                assert trace["wall_time"] is None
+        _, diag = solve(x, y, deg.p1, deg.p2, deg.p3, SolverConfig(r=2, max_iter=3),
+                        trace_objective=trace_objective)
+        assert len(diag.objective) == (3 if trace_objective else 0)
+        # timings do not repeat from one run to the next
+        for key in (key for key in traces if key != "wall_time"):
+            assert getattr(diag, key) == [float(trace[key]) for _, _, trace in items[1:]], key
 
 
 def test_stop_reason_boundaries():
@@ -1017,17 +1070,23 @@ def test_solve_on_edge_shapes_is_finite_and_repeatable(i1, i2, i3, j1, j2, j3, r
     runs = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _ in range(2):
-            z, diag = solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3, cfg)
+        # traced twice, then untraced
+        for trace_objective in (True, True, False):
+            z, diag = solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3, cfg,
+                            trace_objective=trace_objective)
             report = diag.to_dict()
             del report["wall_time"]
             runs.append((z.tobytes(), report))
     assert z.shape == (i1, i2, i3)
     assert np.isfinite(z).all()
     assert diag.iterations == _EDGE_ITERATIONS
+    traced = runs[0][1]
     for key in ("res_x", "res_y", "res_g1", "res_g2", "objective", "grad_norm", "mx_norm"):
-        assert len(report[key]) == _EDGE_ITERATIONS and np.isfinite(report[key]).all(), key
+        assert len(traced[key]) == _EDGE_ITERATIONS and np.isfinite(traced[key]).all(), key
     assert runs[0] == runs[1]
+    # the untraced run differs only in its empty objective
+    assert report["objective"] == []
+    assert runs[2] == (runs[0][0], {**traced, "objective": []})
 
 
 # ---------------------------------------------------------------- kkt
