@@ -15,9 +15,12 @@ Conventions (they matter when comparing against published tables):
   valid interior and averaged over bands. PSNR and SSIM take a positive
   peak whose fourth power, the scale of C1 C2, is finite: about 1.16e77 or less.
 
-PSNR and ERGAS share the per-band squared-error sums, which are streamed in
-slabs of 16 rows (``_SLAB_ROWS``) in one pass that also takes the reference's
-band sums and maximum. SSIM filters its output in blocks that carry all bands
+PSNR, ERGAS and SAM read both cubes once, in one walk (``_band_stats``) over
+slabs of whole rows that fit 256 KiB of one input (``_STATS_BYTES``), at most
+16 (``_SLAB_ROWS``): 1 row at 256x256x162, 16 at 64x64x32. Each slab gives the
+per-band squared-error sums, the reference's band sums and maximum and, for
+SAM, every pixel's r.r, e.e and r.e; ``evaluate`` uses one walk for all three
+metrics. SSIM filters its output in blocks that carry all bands
 and whose inputs fit 1 MiB (``_BLOCK_BYTES``), so they stay in cache:
 full-width slabs of 16 rows where one fits, else 8 rows by a multiple of 16
 columns (8x32 at 256x256x162; see ``_ssim_block``).
@@ -39,9 +42,11 @@ from .errors import DimensionError, MetricUndefinedError
 from .tensor import mode_n_product, require_finite
 
 PSNR_CAP_DB = 100.0
-# rows that the squared-error sums read at a time, and ssim's output rows per
+# the most rows that _band_stats reads at a time, and ssim's output rows per
 # full-width slab and columns per tile of its column filter
 _SLAB_ROWS = 16
+# bytes of one input's slab in _band_stats, so both inputs' slabs stay in cache
+_STATS_BYTES = 1 << 18
 # bytes of one input's block in ssim: (rows + win_size - 1) x (columns + win_size - 1) x bands
 _BLOCK_BYTES = 1 << 20
 
@@ -81,42 +86,70 @@ def _require_finite_sums(sums, ref, est):
         raise ValueError("metric sums overflow: input values too large")
 
 
-def _band_stats(ref, est):
+def _stats_rows(i2, bands):
+    """Rows per slab of ``_band_stats``: as many as fit ``_STATS_BYTES`` of one
+    input, from 1 to ``_SLAB_ROWS``. A single band keeps ``_SLAB_ROWS``: numpy
+    sums its contiguous column pairwise, which ties its bits to the slab size."""
+    if bands == 1:
+        return _SLAB_ROWS
+    return max(1, min(_SLAB_ROWS, _STATS_BYTES // max(1, 8 * i2 * bands)))
+
+
+def _band_stats(ref, est, dots=None):
     """Per-band mean squared error and reference mean, and the reference
-    maximum (-inf for an empty cube), read in one pass of slabs of rows.
+    maximum (-inf for an empty cube), read in one walk of slabs of whole rows
+    (see ``_stats_rows``). With ``dots``, a (3, I1 I2) array, its rows also
+    receive every pixel's r.r, e.e and r.e.
 
     Each slab is copied into one buffer, summed, then turned in place into its
     squared errors and summed again. Row 0 of the buffer carries the running
     per-band sum into each reduction, so the sums run pixel by pixel as in
     ``ref.mean(axis=(0, 1))`` and ``((ref - est) ** 2).mean(axis=(0, 1))``,
-    with the same bits for two or more bands (numpy sums a single band's
-    contiguous column pairwise, so that band's mean is taken whole).
+    with the same bits for two or more bands (a single band's mean is taken
+    whole). The dot products are ``einsum("ij,ij->i")`` over each slab of the
+    inputs themselves, which has the bits of one einsum over the whole cube.
+    No sum is checked here: each caller passes those it reads to
+    ``_require_finite_sums``.
     """
     i1, i2, bands = ref.shape
-    buf = np.zeros((min(_SLAB_ROWS, i1) * i2 + 1, bands))
+    step = _stats_rows(i2, bands)
+    buf = np.zeros((min(step, i1) * i2 + 1, bands))
     ref_total, err_total = np.zeros((2, bands))
     ref_max = -np.inf
     with np.errstate(all="ignore"):
-        for r in range(0, i1, _SLAB_ROWS):
-            n = min(_SLAB_ROWS, i1 - r) * i2
-            rows = slice(r, r + _SLAB_ROWS)
+        for r in range(0, i1, step):
+            n = min(step, i1 - r) * i2
+            x = ref[r : r + step].reshape(n, bands)
+            y = est[r : r + step].reshape(n, bands)
             slab = buf[1 : n + 1]
-            slab[...] = ref[rows].reshape(n, bands)
+            slab[...] = x
             buf[0] = ref_total
             np.sum(buf[: n + 1], axis=0, out=ref_total)
             ref_max = max(ref_max, float(slab.max(initial=-np.inf)))
-            slab -= est[rows].reshape(n, bands)
+            slab -= y
             slab *= slab
             buf[0] = err_total
             np.sum(buf[: n + 1], axis=0, out=err_total)
-    _require_finite_sums(err_total, ref, est)
-    mean = ref_total / (i1 * i2) if bands > 1 else ref.mean(axis=(0, 1))
-    return err_total / (i1 * i2), mean, ref_max
+            if dots is not None:
+                pixels = slice(r * i2, r * i2 + n)
+                for out, (a, b) in zip(dots, ((x, x), (y, y), (x, y))):
+                    np.einsum("ij,ij->i", a, b, out=out[pixels])
+        if bands == 1:
+            ref_total = ref.sum(axis=(0, 1))
+    return err_total / (i1 * i2), ref_total / (i1 * i2), ref_max
+
+
+def _check_peak(peak):
+    if not (peak > 0 and np.isfinite((p := float(peak)) * p * p * p)):
+        raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
+
+
+def _check_ratio(ratio):
+    if not (ratio > 0 and np.isfinite(ratio)):
+        raise ValueError(f"resolution ratio must be positive and finite, got {ratio}")
 
 
 def _psnr(mse, peak, cap):
-    if not (peak > 0 and np.isfinite((p := float(peak)) * p * p * p)):
-        raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
     out = np.full(mse.shape, float(cap))
     pos = mse > 0
     out[pos] = 10.0 * np.log10(peak * peak / mse[pos])
@@ -125,8 +158,10 @@ def _psnr(mse, peak, cap):
 
 def psnr(ref, est, peak, cap=PSNR_CAP_DB, per_band=True):
     """Peak signal-to-noise ratio in dB (per-band average by default)."""
+    _check_peak(peak)
     ref, est = _check_same_shape(ref, est)
     mse, _, _ = _band_stats(ref, est)
+    _require_finite_sums(mse, ref, est)
     if not per_band:
         mse = mse.mean(keepdims=True)
     return _psnr(mse, peak, cap)
@@ -134,8 +169,6 @@ def psnr(ref, est, peak, cap=PSNR_CAP_DB, per_band=True):
 
 def _ergas(mse, mu, ratio):
     """ERGAS of the per-band mean squared errors ``mse`` and reference means ``mu``."""
-    if not (ratio > 0 and np.isfinite(ratio)):
-        raise ValueError(f"resolution ratio must be positive and finite, got {ratio}")
     usable = mu != 0
     if not usable.any():
         raise MetricUndefinedError("ERGAS undefined: every reference band has zero mean")
@@ -147,19 +180,16 @@ def _ergas(mse, mu, ratio):
 
 def ergas(ref, est, ratio):
     """Relative dimensionless global synthesis error (lower is better)."""
+    _check_ratio(ratio)
     ref, est = _check_same_shape(ref, est)
     mse, mu, _ = _band_stats(ref, est)
+    _require_finite_sums(mse, ref, est)
     return _ergas(mse, mu, ratio)
 
 
-def sam(ref, est):
-    """Mean spectral angle between per-pixel spectra, in degrees."""
-    ref, est = _check_same_shape(ref, est)
-    bands = ref.shape[2]
-    r = ref.reshape(-1, bands)
-    e = est.reshape(-1, bands)
-    nr = np.sqrt(np.einsum("ij,ij->i", r, r))
-    ne = np.sqrt(np.einsum("ij,ij->i", e, e))
+def _sam(dots, ref, est):
+    """SAM of the per-pixel r.r, e.e and r.e that ``_band_stats`` wrote to ``dots``."""
+    nr, ne = np.sqrt(dots[0]), np.sqrt(dots[1])
     _require_finite_sums((nr.sum(), ne.sum()), ref, est)
     valid = (nr > 0) & (ne > 0)
     if not valid.any():
@@ -167,8 +197,20 @@ def sam(ref, est):
     skipped = int((~valid).sum())
     if skipped:
         warnings.warn(f"SAM: skipped {skipped} pixel(s) with a zero spectrum")
-    cosang = np.einsum("ij,ij->i", r, e)[valid] / (nr[valid] * ne[valid])
+    cosang = dots[2][valid] / (nr[valid] * ne[valid])
     return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).mean())
+
+
+def sam(ref, est):
+    """Mean spectral angle between per-pixel spectra, in degrees.
+
+    Reads each cube once: the per-pixel r.r, e.e and r.e come from
+    ``_band_stats``' walk, with the bits of ``einsum("ij,ij->i")`` over the
+    whole cube, and only their norms are checked finite."""
+    ref, est = _check_same_shape(ref, est)
+    dots = np.empty((3, ref.shape[0] * ref.shape[1]))
+    _band_stats(ref, est, dots)
+    return _sam(dots, ref, est)
 
 
 def _toeplitz(w, rows):
@@ -219,9 +261,8 @@ def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
     same matrix. The window is ``degradation.gaussian_kernel_1d(win_size,
     win_sigma)``, so ``win_size`` must be odd.
     """
+    _check_peak(peak)
     ref, est = _check_same_shape(ref, est)
-    if not (peak > 0 and np.isfinite((p := float(peak)) * p * p * p)):
-        raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
     if ref.shape[0] < win_size or ref.shape[1] < win_size:
         raise DimensionError(
             f"image {ref.shape[:2]} smaller than the {win_size}x{win_size} window"
@@ -320,9 +361,18 @@ def bicubic_upsample(x, factor):
 
 
 def evaluate(ref, est, peak=None, ratio=1.0):
-    """All four metrics in one report; peak defaults to the reference maximum."""
+    """All four metrics in one report; peak defaults to the reference maximum.
+
+    The ratio, and a peak given, are checked before either cube is read. PSNR,
+    ERGAS and SAM come from one ``_band_stats`` walk, then SSIM reads the cubes
+    again."""
+    if peak is not None:
+        _check_peak(peak)
+    _check_ratio(ratio)
     ref, est = _check_same_shape(ref, est)
-    mse, mu, ref_max = _band_stats(ref, est)  # shared by PSNR and ERGAS; rejects NaN and Inf
+    dots = np.empty((3, ref.shape[0] * ref.shape[1]))
+    mse, mu, ref_max = _band_stats(ref, est, dots)
+    _require_finite_sums(mse, ref, est)  # rejects NaN and Inf
     if peak is None:
         peak = ref_max
         if not peak > 0:
@@ -334,6 +384,6 @@ def evaluate(ref, est, peak=None, ratio=1.0):
     return MetricReport(
         psnr=_psnr(mse, peak, PSNR_CAP_DB),
         ergas=_ergas(mse, mu, ratio),
-        sam=sam(ref, est),
+        sam=_sam(dots, ref, est),
         ssim=ssim(ref, est, peak),
     )

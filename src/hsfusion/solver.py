@@ -226,7 +226,8 @@ def grad_a(state, problem, tensors):
     back += mode_n_product(ry + uy, problem.q.T, 3)
     back += difference_adjoint(r1 + u1, 1)
     back += difference_adjoint(r2 + u2, 2)
-    return -2.0 * back
+    back *= -2.0
+    return back
 
 
 def l1_objective(state, problem):
@@ -261,9 +262,12 @@ def _residual_tensors(state, problem, diffs):
     """The four constraint residual tensors (x, y, g1, g2) of ``state``;
     ``diffs`` are ``difference(state.a, n)`` for n = 1, 2."""
     a_lo = mode_n_product(mode_n_product(state.a, problem.p1, 1), problem.p2, 2)
+    # each data residual is written over its own fresh product
+    rx = mode_n_product(a_lo, problem.s, 3)
+    ry = mode_n_product(state.a, problem.q, 3)
     return (
-        problem.x - mode_n_product(a_lo, problem.s, 3),
-        problem.y - mode_n_product(state.a, problem.q, 3),
+        np.subtract(problem.x, rx, out=rx),
+        np.subtract(problem.y, ry, out=ry),
         *(g - d for g, d in zip(state.g, diffs)),
     )
 
@@ -277,8 +281,10 @@ def update_multipliers(state, nu, tensors):
     """Dual ascent along the residual ``tensors`` of ``state``, then
     geometric penalty growth: u <- (u + r)/nu and rho <- nu rho, which is
     m <- m + rho r for the multipliers m = rho u."""
-    return replace(state, u=tuple((u + r) / nu for u, r in zip(state.u, tensors)),
-                   rho=state.rho * nu, iter=state.iter + 1)
+    duals = tuple(u + r for u, r in zip(state.u, tensors))
+    for w in duals:
+        w /= nu  # in place on the fresh sums, with the bits of (u + r) / nu
+    return replace(state, u=duals, rho=state.rho * nu, iter=state.iter + 1)
 
 
 def _trace_stats(trace):

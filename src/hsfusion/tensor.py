@@ -51,14 +51,21 @@ def _check_mode(t, mode):
         raise DimensionError(f"mode must be 1, 2 or 3, got {mode}")
 
 
+def _stencil_slices(mode):
+    """Index tuples of all entries but the last, and all but the first, along mode n."""
+    lo, hi = [slice(None)] * 3, [slice(None)] * 3
+    lo[mode - 1], hi[mode - 1] = slice(None, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
 def difference(t, mode):
     """t x_n D_{I_n} as a stencil (t[i] - t[i+1] along mode n); equals
     ``mode_n_product(t, diff_matrix(I_n), mode)`` bit for bit."""
     t = np.asarray(t, dtype=float)
     _check_mode(t, mode)
     _check_diff_size(t.shape[mode - 1])
-    w = np.moveaxis(t, mode - 1, 0)
-    return np.moveaxis(w[:-1] - w[1:], 0, mode - 1)
+    lo, hi = _stencil_slices(mode)
+    return t[lo] - t[hi]
 
 
 def difference_adjoint(v, mode):
@@ -71,9 +78,9 @@ def difference_adjoint(v, mode):
     shape = list(v.shape)
     shape[mode - 1] += 1
     out = np.zeros(shape)
-    o, w = np.moveaxis(out, mode - 1, 0), np.moveaxis(v, mode - 1, 0)
-    o[:-1] = w
-    o[1:] -= w
+    lo, hi = _stencil_slices(mode)
+    out[lo] = v
+    out[hi] -= v
     return out
 
 

@@ -92,12 +92,12 @@ def t_product(a, b):
 
 def _fourier_slices(t):
     """Fourier slices 0..I3//2 of real t (rfft along the tubes), slice index first."""
-    return np.moveaxis(np.fft.rfft(t, axis=2), 2, 0)
+    return np.fft.rfft(t, axis=2).transpose(2, 0, 1)
 
 
 def _from_fourier_slices(slices, n_tubes):
     """Real tensor whose Fourier slices 0..I3//2 are ``slices`` (inverse rfft)."""
-    return np.fft.irfft(np.moveaxis(slices, 0, 2), n=n_tubes, axis=2)
+    return np.fft.irfft(slices.transpose(1, 2, 0), n=n_tubes, axis=2)
 
 
 def _mirror_index(n_tubes):

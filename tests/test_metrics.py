@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,15 @@ from hsfusion import (
     sam,
     ssim,
 )
-from hsfusion.metrics import _BLOCK_BYTES, _SLAB_ROWS, PSNR_CAP_DB, _band_stats, _ssim_block
+from hsfusion.metrics import (
+    _BLOCK_BYTES,
+    _SLAB_ROWS,
+    _STATS_BYTES,
+    PSNR_CAP_DB,
+    _band_stats,
+    _ssim_block,
+    _stats_rows,
+)
 
 from _shared import _misaligned_readonly
 
@@ -113,6 +122,73 @@ def test_evaluate_has_the_bits_of_the_whole_cube_formulas(shape):
     rep = evaluate(ref, est, ratio=4.0)
     assert rep.psnr == psnr(ref, est, float(ref.max()))
     assert rep.ergas == float(100.0 / 4.0 * np.sqrt(np.mean(mse / mu**2)))
+
+
+def _sam_whole_cube(ref, est):
+    """SAM as whole-cube einsums over the pixel spectra, then arccos, degrees and mean."""
+    bands = ref.shape[2]
+    r = ref.reshape(-1, bands)
+    e = est.reshape(-1, bands)
+    nr = np.sqrt(np.einsum("ij,ij->i", r, r))
+    ne = np.sqrt(np.einsum("ij,ij->i", e, e))
+    valid = (nr > 0) & (ne > 0)
+    cosang = np.einsum("ij,ij->i", r, e)[valid] / (nr[valid] * ne[valid])
+    return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).mean())
+
+
+@pytest.mark.parametrize("shape, rows", [
+    ((256, 256, 162), 1), ((64, 64, 32), 16), ((96, 96, 48), 7), ((300, 7, 1), 16),
+    ((9, 4096, 1), 16), ((5, 0, 3), 16),
+], ids=["256x256x162", "64x64x32", "96x96x48", "one-band", "one-wide-band", "no-columns"])
+def test_stats_slabs_fit_a_quarter_mebibyte_of_each_input(shape, rows):
+    _, i2, bands = shape
+    assert _stats_rows(i2, bands) == rows
+    assert rows == 1 or bands == 1 or rows * i2 * bands * 8 <= _STATS_BYTES
+
+
+# odd and even sides; 1, 2, 5, 80 and 161 bands; fewer rows than a slab, a ragged last
+# slab (41 rows in slabs of 16) and one-row slabs (a row of 205 x 161 or 410 x 80
+# doubles is more than _STATS_BYTES)
+_SAM_SHAPES = [(11, 12, 1), (40, 13, 1), (12, 11, 2), (41, 14, 5), (16, 16, 5), (13, 12, 161),
+               (12, 205, 161), (11, 410, 80)]
+
+
+@pytest.mark.parametrize("shape", _SAM_SHAPES)
+def test_band_stats_write_the_bits_of_the_whole_cube_dot_products(shape):
+    rng = np.random.default_rng(sum(shape) + 3)
+    ref = rng.random(shape)
+    est = ref + rng.normal(0.0, 0.05, shape)
+    dots = np.empty((3, shape[0] * shape[1]))
+    stats = _band_stats(ref, est, dots)
+    r, e = ref.reshape(-1, shape[2]), est.reshape(-1, shape[2])
+    for got, (a, b) in zip(dots, ((r, r), (e, e), (r, e))):
+        assert got.tobytes() == np.einsum("ij,ij->i", a, b).tobytes()
+    # the sums do not depend on whether the dot products are taken
+    for got, want in zip(stats, _band_stats(ref, est)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", _SAM_SHAPES)
+def test_evaluate_has_the_bits_of_the_whole_cube_sam(shape):
+    rng = np.random.default_rng(sum(shape) + 4)
+    ref = rng.random(shape) + 0.05
+    est = ref + rng.normal(0.0, 0.05, shape)
+    want = _sam_whole_cube(ref, est)
+    assert sam(ref, est) == want
+    assert evaluate(ref, est, ratio=4.0).sam == want
+
+
+def test_evaluate_warns_once_for_a_zero_spectrum_and_keeps_sam_bits():
+    rng = np.random.default_rng(22)
+    ref = rng.random((23, 18, 5)) + 0.05
+    est = ref + rng.normal(0.0, 0.05, ref.shape)
+    ref[7, 3] = 0.0
+    want = _sam_whole_cube(ref, est)
+    for metric in (sam, lambda ref, est: evaluate(ref, est).sam):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert metric(ref, est) == want
+        assert [str(w.message) for w in caught] == ["SAM: skipped 1 pixel(s) with a zero spectrum"]
 
 
 def _traced_peak(metric, *args, **kwargs):
@@ -537,6 +613,29 @@ def test_metrics_reject_a_peak_or_ratio_they_cannot_use(call, message):
     ref = np.random.default_rng(21).random((12, 12, 3)) + 0.05
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(ref, ref * 0.9)
+
+
+class _Unreadable:
+    """A cube that fails the test if a metric reads it."""
+
+    shape = (12, 12, 3)
+
+    def __array__(self, dtype=None, copy=None):
+        raise AssertionError("the cube was read")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ref, est: evaluate(ref, est, ratio=np.inf),
+     "resolution ratio must be positive and finite, got inf"),
+    (lambda ref, est: evaluate(ref, est, peak=1e100), _PEAK_MESSAGE.format("1e+100")),
+    (lambda ref, est: evaluate(ref, est, peak=-1.0), _PEAK_MESSAGE.format("-1.0")),
+    (lambda ref, est: psnr(ref, est, np.nan), _PEAK_MESSAGE.format("nan")),
+    (lambda ref, est: ergas(ref, est, 0.0), "resolution ratio must be positive and finite, got 0.0"),
+    (lambda ref, est: ssim(ref, est, np.inf), _PEAK_MESSAGE.format("inf")),
+], ids=["evaluate-ratio", "evaluate-peak", "evaluate-negative-peak", "psnr", "ergas", "ssim"])
+def test_metrics_check_a_peak_or_ratio_before_reading_the_cubes(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(_Unreadable(), _Unreadable())
 
 
 @pytest.mark.parametrize("call, error, message", [

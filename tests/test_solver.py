@@ -41,6 +41,7 @@ from hsfusion import solver as solver_module
 from hsfusion.solver import (
     FusionProblem,
     SolverState,
+    _residual_tensors,
     grad_a,
     initial_state,
     l1_objective,
@@ -103,6 +104,45 @@ def _small_instance(seed=5):
     deg = make_degradation(z.shape, 4, 9, 3.3973, BROAD_BANDS)
     x, y = simulate(z, deg)
     return z, deg, x, y
+
+
+def _assert_same_bytes(want, got):
+    for w, g in zip(want, got, strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
+# edge shapes I_n = 2 and R = 1 beside a generic one, with fewer low-resolution pixels
+@pytest.mark.parametrize("big, small, r", [((6, 5, 8), (3, 2, 4), 3), ((2, 7, 5), (1, 3, 2), 1),
+                                           ((5, 2, 6), (2, 1, 3), 2)])
+def test_in_place_steps_have_the_bits_of_their_formulas_and_keep_inputs(big, small, r):
+    # grad_a, _residual_tensors and update_multipliers each write over a fresh result of
+    # their own; the bytes are those of the expressions written out, and no input moves
+    rng = np.random.default_rng(sum(big) + r)
+    prob = _random_problem(rng, big, small, r)
+    state = _random_state(rng, prob)
+    inputs = (prob.x, prob.y, prob.p1, prob.p2, prob.s, prob.q, state.a, *state.g, *state.u)
+    before = [a.copy() for a in inputs]
+    diffs = (difference(state.a, 1), difference(state.a, 2))
+    a_lo = mode_n_product(mode_n_product(state.a, prob.p1, 1), prob.p2, 2)
+    want = (prob.x - mode_n_product(a_lo, prob.s, 3), prob.y - mode_n_product(state.a, prob.q, 3),
+            state.g[0] - diffs[0], state.g[1] - diffs[1])
+    tensors = _residual_tensors(state, prob, diffs)
+    _assert_same_bytes(want, tensors)
+    held = [a.copy() for a in (*tensors, *diffs)]
+
+    rx, ry, r1, r2 = tensors
+    ux, uy, u1, u2 = state.u
+    back = mode_n_product(mode_n_product(mode_n_product(rx + ux, prob.s.T, 3), prob.p1.T, 1),
+                          prob.p2.T, 2)
+    back += mode_n_product(ry + uy, prob.q.T, 3)
+    back += difference_adjoint(r1 + u1, 1)
+    back += difference_adjoint(r2 + u2, 2)
+    assert grad_a(state, prob, tensors).tobytes() == (-2.0 * back).tobytes()
+
+    new = update_multipliers(state, 1.07, tensors)
+    _assert_same_bytes([(u + t) / 1.07 for u, t in zip(state.u, tensors)], new.u)
+    _assert_same_bytes(before, inputs)
+    _assert_same_bytes(held, (*tensors, *diffs))
 
 
 # ---------------------------------------------------------------- subspace

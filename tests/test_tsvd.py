@@ -63,6 +63,22 @@ def _tprod_oracle(a, b):
     return out
 
 
+# odd and even tubes, I_n = 2 and a single tube
+@pytest.mark.parametrize("shape", [(4, 3, 5), (3, 4, 6), (2, 5, 4), (5, 2, 7), (2, 2, 1)])
+def test_fourier_slices_are_the_moved_axis_views(shape):
+    t = np.random.default_rng(sum(shape)).standard_normal(shape)
+    want = np.moveaxis(np.fft.rfft(t, axis=2), 2, 0)
+    got = _fourier_slices(t)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    back = np.fft.irfft(np.moveaxis(got, 0, 2), n=shape[2], axis=2)
+    assert _from_fourier_slices(got, shape[2]).tobytes() == back.tobytes()
+    # slices of another layout too, as the prox's products return them
+    dense = got.copy()
+    assert _from_fourier_slices(dense, shape[2]).tobytes() == np.fft.irfft(
+        np.moveaxis(dense, 0, 2), n=shape[2], axis=2).tobytes()
+
+
 def test_tproduct_identity():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 4, 5))
