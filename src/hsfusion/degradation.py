@@ -14,12 +14,13 @@ table is exact; the four-band "ikonos" table is a rectangular approximation
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import mode_n_product, require_finite
+from .tensor import _mode3_blocks, mode_n_product
 
 LANDSAT7_BANDS = (
     (450.0, 520.0),
@@ -168,6 +169,11 @@ def simulate(z, d):
     return x, y
 
 
+def _is_int(value):
+    """An integer, numpy's included, but not a bool (as RunConfig's keys take them)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Parameters of a synthetic ground-truth scene z = a x_3 s.
@@ -175,7 +181,8 @@ class SceneSpec:
     ``blocks`` piecewise-constant cells per spatial axis; ``spectra`` selects
     the basis construction ("random" = orthonormalized Gaussian noise,
     "smooth" = orthonormalized Gaussian bumps). Reproducible from ``seed``
-    via the PCG64 generator.
+    via the PCG64 generator. ``shape`` is three positive integers; ``r``,
+    ``blocks`` and ``seed`` are integers, never bool, and ``seed`` is >= 0.
     """
 
     shape: tuple
@@ -185,13 +192,22 @@ class SceneSpec:
     spectra: str = "random"
 
     def __post_init__(self):
-        i1, i2, i3 = self.shape
+        shape = self.shape
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 3
+                and all(_is_int(n) and n >= 1 for n in shape)):
+            raise ValueError(f"shape must be three positive integers, got {shape!r}")
+        for name in ("r", "blocks", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        i1, i2, i3 = shape
         if not 1 <= self.r <= min(i3, i1 * i2):
             raise ValueError(
                 f"scene rank {self.r} out of range for shape {self.shape}"
             )
         if self.blocks < 1:
             raise ValueError(f"blocks must be >= 1, got {self.blocks}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.spectra not in ("random", "smooth"):
             raise ValueError(f"unknown spectra kind {self.spectra!r}")
 
@@ -226,6 +242,5 @@ def synth_scene(spec):
         width = max(i3 / (2.0 * spec.r), 1.0)
         raw = np.exp(-((idx - centers[None, :]) ** 2) / (2.0 * width * width))
     s = _orthonormalize(raw)
-    z = mode_n_product(a, s, 3)
-    require_finite(z, "synthetic scene")
+    z = _mode3_blocks(a, s, "synthetic scene")
     return z, a, s

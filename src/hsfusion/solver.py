@@ -26,6 +26,7 @@ from .config import TAU_MODES, SolverConfig  # noqa: F401 (SolverConfig re-expor
 from .errors import DimensionError, DivergenceError
 from .regularizer import _from_norm_layout, _to_norm_layout, nms_tctv
 from .tensor import (
+    _mode3_blocks,
     all_finite,
     diff_norm_sq,
     difference,
@@ -450,5 +451,5 @@ def solve(x, y, p1, p2, p3, config, *, trace_objective=False):
     diag.iterations = state.iter
     diag.converged = reason == "tol"
     diag.kkt = kkt_check(state, psi, res, trace["grad_norm"], diag)
-    z_hat = mode_n_product(state.a, s, 3)
+    z_hat = _mode3_blocks(state.a, s)
     return z_hat, diag

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hsfusion import (
     default_wavelengths,
     gaussian_kernel_1d,
     make_degradation,
+    mode_n_product,
     nms_tctv,
     read_band_table,
     simulate,
@@ -163,16 +165,74 @@ def test_synth_scene_flat_blocks_has_zero_regularizer():
     assert nms_tctv(a, LogSurrogate(0.1)) == 0.0
 
 
+def _poison_scene_product(monkeypatch, shape, index):
+    """Make synth_scene's product the real blocked product of maps of ones,
+    of the given shape with R = 1, whose flat entry ``index`` is Inf; the
+    scene is then ones with that one Inf."""
+    real = degradation_module._mode3_blocks
+
+    def poisoned(a, s, name=None):
+        maps = np.ones(shape[:2] + (1,))
+        maps.flat[index] = np.inf
+        return real(maps, np.ones((1, 1)), name)
+
+    monkeypatch.setattr(degradation_module, "_mode3_blocks", poisoned)
+
+
 @pytest.mark.parametrize("index", EDGES)
 def test_synth_scene_rejects_a_non_finite_scene(monkeypatch, index):
-    def poisoned_product(a, s, mode):
-        z = np.zeros((64, 64, 64))
-        z.flat[index] = np.inf
-        return z
-
-    monkeypatch.setattr(degradation_module, "mode_n_product", poisoned_product)
+    # 512x512x1 is two blocks of SLAB_ELEMENTS entries
+    _poison_scene_product(monkeypatch, (512, 512, 1), index)
     with pytest.raises(ValueError, match="^synthetic scene contains non-finite entries$"):
         synth_scene(SceneSpec(shape=(8, 8, 6), r=2, seed=3))
+
+
+@pytest.mark.parametrize("index", [SLAB_ELEMENTS, 300 * 512 - 1])
+def test_synth_scene_rejects_a_non_finite_entry_in_a_ragged_last_block(monkeypatch, index):
+    # 300x512x1 is one block of 256 rows and one of 44
+    _poison_scene_product(monkeypatch, (300, 512, 1), index)
+    with pytest.raises(ValueError, match="^synthetic scene contains non-finite entries$"):
+        synth_scene(SceneSpec(shape=(8, 8, 6), r=2, seed=3))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_scene_and_simulation_build_no_cube_sized_temporary():
+    spec = SceneSpec(shape=(128, 128, 96), r=3, seed=2)  # 12.6 MB, 10 row blocks
+    z, _, _ = synth_scene(spec)
+    cube = z.nbytes
+    # the scene itself is one cube; the rest is the maps, the basis and one block's mask
+    assert _traced_peak(synth_scene, spec) < 1.1 * cube
+    # x after mode 1 (a quarter cube), x and y
+    deg = make_degradation(z.shape, 4, 3, 1.0, LANDSAT7_BANDS)
+    assert _traced_peak(simulate, z, deg) < cube / 2
+
+
+def _misaligned(z):
+    buf = np.empty(z.nbytes + 1, dtype=np.uint8)
+    out = np.ndarray(z.shape, dtype=float, buffer=buf, offset=1)
+    out[...] = z
+    assert not out.flags.aligned
+    return out
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 32), (64, 64, 162)])
+@pytest.mark.parametrize("layout", ["C", "F", "transposed", "misaligned"])
+def test_simulate_y_has_the_bits_of_the_mode3_product(shape, layout):
+    z = np.random.default_rng(shape[2]).random(shape)
+    z = {"C": z, "F": np.asfortranarray(z), "transposed": z.transpose(1, 0, 2),
+         "misaligned": _misaligned(z)}[layout]
+    deg = make_degradation(shape, 4, 3, 1.0, LANDSAT7_BANDS)
+    _, y = simulate(z, deg)
+    assert y.tobytes() == mode_n_product(np.ascontiguousarray(z), deg.p3, 3).tobytes()
 
 
 def test_synth_scene_semi_unitary_basis():
@@ -212,6 +272,37 @@ def test_scene_spec_validation():
         SceneSpec(shape=(4, 4, 3), r=1, blocks=0)
     with pytest.raises(ValueError):
         SceneSpec(shape=(4, 4, 3), r=1, spectra="fancy")
+
+
+_BAD_SCENE_FIELDS = [
+    ("shape", (8.5, 8, 6), "shape must be three positive integers, got (8.5, 8, 6)"),
+    ("shape", (8, 8, 6.0), "shape must be three positive integers, got (8, 8, 6.0)"),
+    ("shape", (8, 8), "shape must be three positive integers, got (8, 8)"),
+    ("shape", (8, 0, 6), "shape must be three positive integers, got (8, 0, 6)"),
+    ("shape", (8, True, 6), "shape must be three positive integers, got (8, True, 6)"),
+    ("shape", 8, "shape must be three positive integers, got 8"),
+    ("r", 2.0, "r must be an integer, got 2.0"),
+    ("r", True, "r must be an integer, got True"),
+    ("blocks", 4.0, "blocks must be an integer, got 4.0"),
+    ("blocks", True, "blocks must be an integer, got True"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", -1, "seed must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", _BAD_SCENE_FIELDS,
+                         ids=[f"{f}={v!r}" for f, v, _ in _BAD_SCENE_FIELDS])
+def test_scene_spec_names_the_field_it_rejects(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SceneSpec(**{"shape": (8, 8, 6), "r": 2, field: value})
+
+
+def test_scene_spec_takes_numpy_integers():
+    spec = SceneSpec(shape=tuple(np.int64(n) for n in (8, 8, 6)), r=np.int32(2),
+                     blocks=np.int64(2), seed=np.uint8(3))
+    assert synth_scene(spec)[0].tobytes() == synth_scene(
+        SceneSpec(shape=(8, 8, 6), r=2, blocks=2, seed=3))[0].tobytes()
 
 
 

@@ -19,6 +19,7 @@ from hsfusion import (
 from hsfusion.solver import lipschitz_tau
 from hsfusion.tensor import (
     SLAB_ELEMENTS,
+    _mode3_blocks,
     all_finite,
     diff_norm_sq,
     difference,
@@ -314,6 +315,29 @@ def test_all_finite_finds_each_edge_entry(bad, index, layout):
     assert all_finite(view)
     memory.flat[index] = bad
     assert not all_finite(view)
+
+
+# (I1, I2, I3, R): one block, exactly one slab, many blocks with a ragged
+# last one, I3 = 1 in even and ragged blocks, R = 1, odd sides, one row wider
+# than a slab, and the protocol-scale scene
+BLOCK_SHAPES = [(7, 9, 5, 2), (64, 64, 32, 3), (64, 64, 96, 3), (512, 512, 1, 1),
+                (300, 512, 1, 1), (65, 63, 40, 1), (97, 101, 33, 5), (3, 4097, 64, 3),
+                (256, 256, 162, 5)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_mode3_blocks_has_the_bits_of_the_whole_cube_product(shape, layout):
+    i1, i2, i3, r = shape
+    rng = np.random.default_rng(i1 * i3 + r)
+    a, s = rng.random((i1, i2, r)), rng.standard_normal((i3, r))
+    if layout == "F":
+        a = np.asfortranarray(a)
+    want = mode_n_product(a, s, 3)
+    for name in (None, "cube"):
+        got = _mode3_blocks(a, s, name)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_require_finite_names_the_array():
