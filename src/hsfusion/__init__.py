@@ -28,23 +28,15 @@ _EXPORTS = {
     "metrics": (
         "MetricReport", "bicubic_upsample", "ergas", "evaluate", "psnr", "sam", "ssim",
     ),
-    "regularizer": (
-        "RankSandwichReport", "TvSandwichReport", "check_rank_sandwich",
-        "check_tv_sandwich", "nms_tctv", "tctv", "tsvd_rank",
-    ),
+    "regularizer": ("nms_tctv",),
     "solver": (
         "Diagnostics", "FusionProblem", "KKTReport", "SolverState", "extract_subspace",
         "grad_a", "kkt_check", "lipschitz_tau", "residuals", "solve",
         "step_a", "step_g", "update_multipliers",
     ),
-    "tensor": (
-        "atv_norm", "diff_matrix", "difference", "mode_n_product", "mode_shuffle",
-        "mode_unshuffle", "tv_norm", "unfold",
-    ),
+    "tensor": ("difference", "mode_n_product", "mode_shuffle", "mode_unshuffle", "unfold"),
     "tensorfile": ("load_cube", "read_envi", "read_tensor", "write_tensor"),
-    "tsvd": (
-        "LogSurrogate", "TSvdFactors", "identity_tensor", "ntpnn", "ntpnn_prox", "scalar_prox", "t_product", "t_svd", "t_transpose", "tnn",
-    ),
+    "tsvd": ("LogSurrogate", "ntpnn", "ntpnn_prox", "scalar_prox"),
 }
 
 # public name -> the submodule that defines it

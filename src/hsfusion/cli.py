@@ -51,8 +51,6 @@ def _cmd_simulate(args):
     cfg = _config_from_args(args)
     if (args.gt is None) == (args.synthetic is None):
         raise ValueError("simulate needs exactly one of --gt or --synthetic")
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     if args.synthetic is not None:
         spec = SceneSpec(
             shape=_parse_shape(args.synthetic),
@@ -62,7 +60,6 @@ def _cmd_simulate(args):
             spectra=args.spectra,
         )
         z, _, _ = synth_scene(spec)
-        write_tensor(os.path.join(out_dir, "z.cmt"), z)
     else:
         z = load_cube(args.gt)
         if z.ndim != 3:
@@ -70,6 +67,11 @@ def _cmd_simulate(args):
     deg = make_degradation(z.shape, cfg.factor, cfg.kernel_size, cfg.sigma,
                            read_band_table(cfg.band_table))
     x, y = simulate(z, deg)
+    # every input has passed: only now is anything written
+    out_dir = args.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    if args.synthetic is not None:
+        write_tensor(os.path.join(out_dir, "z.cmt"), z)
     for name, t in zip(_FILES, (x, y, deg.p1, deg.p2, deg.p3)):
         write_tensor(os.path.join(out_dir, f"{name}.cmt"), t)
     print(

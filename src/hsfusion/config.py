@@ -19,6 +19,11 @@ TAU_MODES = ("paper", "safe")
 EPS_MODES = ("absolute", "relative")
 
 
+def _is_int(value):
+    """An integer, numpy's included, but not a bool (as RunConfig's keys take them)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver hyperparameters; defaults follow the slow-growth schedule.

@@ -14,11 +14,11 @@ table is exact; the four-band "ikonos" table is a rectangular approximation
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _is_int
 from .errors import DimensionError
 from .tensor import _mode3_blocks, mode_n_product
 
@@ -99,6 +99,8 @@ def build_spatial_degradation(big_dim, factor, kernel):
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 1 or kernel.size % 2 == 0:
         raise ValueError("kernel must be a 1-d odd-length vector")
+    if not _is_int(factor):
+        raise ValueError(f"factor must be an integer, got {factor!r}")
     if factor < 1 or big_dim % factor:
         raise DimensionError(
             f"dimension {big_dim} not divisible by factor {factor}"
@@ -167,11 +169,6 @@ def simulate(z, d):
     x = mode_n_product(mode_n_product(z, d.p1, 1), d.p2, 2)
     y = mode_n_product(z, d.p3, 3)
     return x, y
-
-
-def _is_int(value):
-    """An integer, numpy's included, but not a bool (as RunConfig's keys take them)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import TAU_MODES, SolverConfig  # noqa: F401 (SolverConfig re-exported)
+from .config import TAU_MODES, SolverConfig, _is_int  # noqa: F401 (SolverConfig re-exported)
 from .errors import DimensionError, DivergenceError
 from .regularizer import _from_norm_layout, _to_norm_layout, nms_tctv
 from .tensor import (
@@ -172,6 +172,8 @@ class Diagnostics:
 
 def extract_subspace(x, r):
     """First r left singular vectors of the mode-3 unfolding of x."""
+    if not _is_int(r):
+        raise ValueError(f"r must be an integer, got {r!r}")
     x = np.asarray(x, dtype=float)
     i1, i2, i3 = x.shape
     if not 1 <= r <= min(i3, i1 * i2):
@@ -229,14 +231,6 @@ def grad_a(state, problem, tensors):
     back += difference_adjoint(r2 + u2, 2)
     back *= -2.0
     return back
-
-
-def l1_objective(state, problem):
-    """Smooth augmented objective in a, the sum of |r + u|_F^2 over the four
-    constraints and their scaled duals (the quantity grad_a differentiates)."""
-    diffs = (difference(state.a, 1), difference(state.a, 2))
-    return float(sum(np.sum((r + u) ** 2)
-                     for r, u in zip(_residual_tensors(state, problem, diffs), state.u)))
 
 
 def step_a(state, tau, grad):

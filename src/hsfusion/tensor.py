@@ -1,4 +1,4 @@
-"""Dense 3-way tensor primitives: mode-n algebra, D_n, mode shuffles, TV norms.
+"""Dense 3-way tensor primitives: mode-n algebra, D_n stencils, mode shuffles.
 
 Tensors are plain float64 numpy arrays of shape (I1, I2, I3) in C (row-major)
 order; matrices are 2-d float64 arrays. All functions are pure and never
@@ -33,13 +33,6 @@ def _check_diff_size(n):
         raise DimensionError(f"difference matrix needs n >= 2, got {n}")
 
 
-def diff_matrix(n):
-    """(n-1) x n first-order difference matrix: 1 on the diagonal, -1 beside it."""
-    _check_diff_size(n)
-    eye = np.eye(n)
-    return eye[:-1] - eye[1:]
-
-
 def diff_norm_sq(n):
     """|D_n|^2, the largest eigenvalue of the path-graph Laplacian D_n^T D_n:
     2 - 2 cos(pi (n-1)/n) = 4 sin^2(pi (n-1)/(2n))."""
@@ -62,8 +55,9 @@ def _stencil_slices(mode):
 
 
 def difference(t, mode):
-    """t x_n D_{I_n} as a stencil (t[i] - t[i+1] along mode n); equals
-    ``mode_n_product(t, diff_matrix(I_n), mode)`` bit for bit."""
+    """t x_n D_{I_n} as a stencil (t[i] - t[i+1] along mode n), D_{I_n} the
+    (I_n - 1) x I_n matrix with 1 on the diagonal and -1 beside it; equals
+    ``mode_n_product(t, D_{I_n}, mode)`` bit for bit."""
     t = np.asarray(t, dtype=float)
     _check_mode(t, mode)
     _check_diff_size(t.shape[mode - 1])
@@ -74,7 +68,7 @@ def difference(t, mode):
 def difference_adjoint(v, mode):
     """v x_n D_{I_n}^T as a stencil (v[j] - v[j-1] along mode n, with v[-1] and
     v[I_n - 1] read as zero), where I_n is one more than v's mode-n size;
-    equals ``mode_n_product(v, diff_matrix(I_n).T, mode)`` bit for bit."""
+    equals ``mode_n_product(v, D_{I_n}.T, mode)`` bit for bit."""
     v = np.asarray(v, dtype=float)
     _check_mode(v, mode)
     _check_diff_size(v.shape[mode - 1] + 1)
@@ -159,18 +153,6 @@ def mode_unshuffle(t, n):
         raise ValueError(f"shuffle mode must be 1 or 2, got {n}")
     inv = np.argsort(_SHUFFLE_AXES[n])
     return np.ascontiguousarray(np.transpose(np.asarray(t), inv))
-
-
-def tv_norm(t):
-    """Isotropic TV: sqrt(|t x_1 D|_F^2 + |t x_2 D|_F^2)."""
-    g1, g2 = difference(t, 1), difference(t, 2)
-    return float(np.sqrt(np.sum(g1 * g1) + np.sum(g2 * g2)))
-
-
-def atv_norm(t):
-    """Anisotropic TV: entrywise l1 norm of both spatial gradient tensors."""
-    g1, g2 = difference(t, 1), difference(t, 2)
-    return float(np.abs(g1).sum() + np.abs(g2).sum())
 
 
 def all_finite(a):

@@ -1,12 +1,13 @@
-"""t-product algebra: t-SVD, tensor nuclear norms, non-convex variants, prox operators.
+"""Fourier-slice kernels of the solver's prior: the log surrogate, the
+non-convex tensor pseudo nuclear norm, its prox and the KKT subgradient check.
 
 Every kernel here takes tube-last tensors, whose tubes run along mode 3, and
 works slice-wise in the mode-3 Fourier domain; ``regularizer`` owns the mode
 shuffle that puts a spatial mode there. For real input only the first
 floor(I3/2)+1 Fourier slices are computed (rfft along the tubes) and
 factorized, in one batched call; the remaining slices are their conjugates,
-which the inverse rfft supplies, so assembled tensors are exactly real and the
-factorization work is halved. Fourier slices 0 and Nyquist of a real tensor
+which the inverse rfft supplies, so the prox's tensors are exactly real and
+the factorization work is halved. Fourier slices 0 and Nyquist of a real tensor
 have zero imaginary part, and the inverse rfft reads only their real part.
 
 The slices the solver factorizes are (I_n - 1) x R, tall and thin in practice
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FactorizationError
+from .errors import FactorizationError
 
 
 @dataclass(frozen=True)
@@ -47,47 +48,6 @@ class LogSurrogate:
     @property
     def deriv_at_zero(self):
         return self.gamma / np.log1p(self.gamma)
-
-
-@dataclass(frozen=True)
-class TSvdFactors:
-    """Orthogonal u (I1,I1,I3), f-diagonal s (I1,I2,I3), orthogonal v (I2,I2,I3)."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
-def identity_tensor(n, tubes):
-    """n x n x tubes tensor whose first frontal slice is I_n, the rest zero."""
-    t = np.zeros((n, n, tubes))
-    t[:, :, 0] = np.eye(n)
-    return t
-
-
-def t_transpose(a):
-    """Tensor (conjugate) transpose: slice 0 transposed, slices 1..I3-1 reversed."""
-    a = np.asarray(a)
-    b = np.concatenate([a[:, :, :1], a[:, :, :0:-1]], axis=2)
-    b = np.swapaxes(b, 0, 1)
-    return np.ascontiguousarray(np.conj(b))
-
-
-def t_product(a, b):
-    """t-product of real (I1,K,I3) and (K,I2,I3): slice-wise products in Fourier domain.
-
-    Complex input is cast to float like everywhere else in this module, which
-    emits numpy's ComplexWarning rather than dropping the imaginary part silently.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ValueError("t_product expects two 3-way tensors")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} vs {b.shape}")
-    if a.shape[2] != b.shape[2]:
-        raise DimensionError(f"tube lengths disagree: {a.shape[2]} vs {b.shape[2]}")
-    return _from_fourier_slices(_fourier_slices(a) @ _fourier_slices(b), a.shape[2])
 
 
 def _fourier_slices(t):
@@ -134,40 +94,10 @@ def _thin_slice_svd(slices, compute_uv=True, left=False):
         raise _factorization_error(slices, exc) from exc
 
 
-def t_svd(t):
-    """t-SVD of a real 3-way tensor: t = u * s * v^T with orthogonal u, v.
-
-    One SVD per stored Fourier slice; the inverse rfft supplies the mirrored
-    slices, so the factors are exactly real. Singular values within each
-    slice come out nonnegative and nonincreasing.
-    """
-    t = np.asarray(t, dtype=float)
-    i1, i2, i3 = t.shape
-    slices = _fourier_slices(t)
-    try:
-        u, s, vh = np.linalg.svd(slices)
-    except np.linalg.LinAlgError as exc:
-        raise _factorization_error(slices, exc) from exc
-    diag = np.arange(s.shape[1])
-    sh = np.zeros((s.shape[0], i1, i2))
-    sh[:, diag, diag] = s
-    return TSvdFactors(
-        u=_from_fourier_slices(u, i3),
-        s=_from_fourier_slices(sh, i3),
-        v=_from_fourier_slices(vh.conj().swapaxes(1, 2), i3),
-    )
-
-
 def _fourier_singular_values(t):
     """Singular values of every Fourier slice, shape (I3, min(I1, I2))."""
     s = _thin_slice_svd(_fourier_slices(t), compute_uv=False)
     return s[_mirror_index(t.shape[2])]
-
-
-def tnn(t):
-    """Tensor nuclear norm: mean over Fourier slices of matrix nuclear norms."""
-    t = np.asarray(t, dtype=float)
-    return float(_fourier_singular_values(t).sum() / t.shape[2])
 
 
 def ntpnn(t, psi):

@@ -1,5 +1,7 @@
 """Helpers shared by several test modules."""
 
+import tracemalloc
+
 import numpy as np
 
 from hsfusion.solver import _residual_tensors
@@ -23,3 +25,13 @@ def _misaligned_readonly(a):
     view = np.frombuffer(raw, dtype=float, offset=30).reshape(np.shape(a))
     assert not view.flags.aligned and not view.flags.writeable
     return view
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes that tracemalloc saw allocated during the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

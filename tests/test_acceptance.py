@@ -24,10 +24,7 @@ from hsfusion import (
     SceneSpec,
     SolverConfig,
     bicubic_upsample,
-    check_rank_sandwich,
-    check_tv_sandwich,
     evaluate,
-    identity_tensor,
     lipschitz_tau,
     make_degradation,
     mode_n_product,
@@ -38,20 +35,17 @@ from hsfusion import (
     simulate,
     solve,
     synth_scene,
-    t_product,
-    t_svd,
-    t_transpose,
-    tnn,
 )
 from hsfusion.solver import (
     FusionProblem,
     grad_a,
     initial_state,
-    l1_objective,
 )
 from hsfusion.tensorfile import read_tensor, write_tensor
 
 from _shared import _tensors
+from _theory import (check_rank_sandwich, check_tv_sandwich, identity_tensor, l1_objective,
+                     t_product, t_svd, t_transpose, tnn)
 
 GAMMA = 0.1
 PSI = LogSurrogate(GAMMA)

@@ -320,6 +320,29 @@ def test_simulate_writes_the_five_files_and_z_only_for_a_synthetic_scene(
     assert {p.name for p in gt.iterdir()} == _FIVE_FILES
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("--synthetic", "0x4x4", "--r", "2"), "shape entries must be positive, got '0x4x4'"),
+    (("--synthetic", "4x4", "--r", "2"), "expected a I1xI2xI3 shape, got '4x4'"),
+    (("--synthetic", "8x8x6"), "r (subspace dimension) is required"),
+    (("--synthetic", "10x10x6", "--r", "2", "--factor", "4"),
+     "dimension 10 not divisible by factor 4"),
+])
+def test_a_rejected_simulate_writes_nothing(tmp_path, capsys, argv, want):
+    fresh = tmp_path / "fresh"
+    code, out, err = _run(capsys, "simulate", *argv, "--out-dir", str(fresh))
+    assert code == 1 and out == "" and err.startswith(f"error: {want}")
+    assert not fresh.exists()
+    # a reused directory keeps an earlier run's files byte for byte, and gets no z.cmt
+    reused = tmp_path / "reused"
+    reused.mkdir()
+    stale = {name: name.encode() * 3 for name in sorted(_FIVE_FILES)}
+    for name, data in stale.items():
+        (reused / name).write_bytes(data)
+    code, _, err = _run(capsys, "simulate", *argv, "--out-dir", str(reused))
+    assert code == 1 and err.startswith(f"error: {want}")
+    assert {p.name: p.read_bytes() for p in reused.iterdir()} == stale
+
+
 def test_fuse_requires_exactly_the_five_input_files():
     required = [a.option_strings for a in _command_parser("fuse")._actions if a.required]
     assert required == [["--x"], ["--y"], ["--p1"], ["--p2"], ["--p3"]]

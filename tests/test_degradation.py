@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from hsfusion import (
 )
 from hsfusion import degradation as degradation_module
 from hsfusion.tensor import SLAB_ELEMENTS
+
+from _shared import _traced_peak
 
 # entries of a two-slab cube that a slab-wise scan could miss
 EDGES = (0, SLAB_ELEMENTS - 1, SLAB_ELEMENTS, 2 * SLAB_ELEMENTS - 1)
@@ -195,25 +196,17 @@ def test_synth_scene_rejects_a_non_finite_entry_in_a_ragged_last_block(monkeypat
         synth_scene(SceneSpec(shape=(8, 8, 6), r=2, seed=3))
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 def test_scene_and_simulation_build_no_cube_sized_temporary():
     spec = SceneSpec(shape=(128, 128, 96), r=3, seed=2)  # 12.6 MB, 10 row blocks
     z, _, _ = synth_scene(spec)
     cube = z.nbytes
     # the scene itself is one cube; the rest is the maps, the basis and one block's mask
-    assert _traced_peak(synth_scene, spec) < 1.1 * cube
+    _, peak = _traced_peak(synth_scene, spec)
+    assert peak < 1.1 * cube
     # x after mode 1 (a quarter cube), x and y
     deg = make_degradation(z.shape, 4, 3, 1.0, LANDSAT7_BANDS)
-    assert _traced_peak(simulate, z, deg) < cube / 2
+    _, peak = _traced_peak(simulate, z, deg)
+    assert peak < cube / 2
 
 
 def _misaligned(z):

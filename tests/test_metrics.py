@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +27,7 @@ from hsfusion.metrics import (
     _stats_rows,
 )
 
-from _shared import _misaligned_readonly
+from _shared import _misaligned_readonly, _traced_peak
 
 
 def test_psnr_identical_hits_cap():
@@ -191,26 +190,16 @@ def test_evaluate_warns_once_for_a_zero_spectrum_and_keeps_sam_bits():
         assert [str(w.message) for w in caught] == ["SAM: skipped 1 pixel(s) with a zero spectrum"]
 
 
-def _traced_peak(metric, *args, **kwargs):
-    tracemalloc.start()
-    try:
-        metric(*args, **kwargs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 def test_metrics_build_no_cube_sized_temporary():
     rng = np.random.default_rng(18)
     ref = rng.random((512, 16, 64)) + 0.05  # 4.2 MB
     est = ref + rng.normal(0.0, 0.05, ref.shape)
     cube = ref.nbytes
     # evaluate's largest buffers are ssim's slab buffers, then sam's per-pixel norms
-    assert _traced_peak(evaluate, ref, est, ratio=4.0) < cube / 4
-    assert _traced_peak(psnr, ref, est, 1.0) < cube / 10
-    assert _traced_peak(psnr, ref, est, 1.0, per_band=False) < cube / 10
-    assert _traced_peak(ergas, ref, est, 4.0) < cube / 10
+    assert _traced_peak(evaluate, ref, est, ratio=4.0)[1] < cube / 4
+    assert _traced_peak(psnr, ref, est, 1.0)[1] < cube / 10
+    assert _traced_peak(psnr, ref, est, 1.0, per_band=False)[1] < cube / 10
+    assert _traced_peak(ergas, ref, est, 4.0)[1] < cube / 10
 
 
 def test_psnr_rejects_shape_mismatch():
@@ -461,7 +450,7 @@ def test_ssim_buffers_stay_within_a_few_blocks():
     ref = rng.random((64, 256, 162))  # 21 MB
     est = ref + rng.normal(0.0, 0.05, ref.shape)
     # 8x32 blocks: 3.1 MB of buffers (full-width slabs of 16 rows took 39 MB)
-    assert _traced_peak(ssim, ref, est, 1.0) < 5 * _BLOCK_BYTES
+    assert _traced_peak(ssim, ref, est, 1.0)[1] < 5 * _BLOCK_BYTES
 
 
 def test_ssim_rejects_an_even_window():
@@ -504,6 +493,33 @@ def test_bicubic_rejects_a_factor_that_is_not_a_positive_integer(factor):
         bicubic_upsample(t, factor)
     # an integral float names the same factor
     assert np.array_equal(bicubic_upsample(t, 4.0), bicubic_upsample(t, 4))
+
+
+def _keys_weights(x, a=-0.5):
+    """Keys (1981) cubic convolution kernel, zero from |x| = 2 on."""
+    x = np.abs(x)
+    inner = (a + 2.0) * x**3 - (a + 3.0) * x**2 + 1.0
+    outer = a * (x**3 - 5.0 * x**2 + 8.0 * x - 4.0)
+    return np.where(x <= 1.0, inner, np.where(x < 2.0, outer, 0.0))
+
+
+def test_bicubic_odd_factor_matches_a_keys_kernel_oracle():
+    # an odd factor puts output samples on input samples, where the taps two
+    # away fall on the kernel's |x| = 2 edge
+    factor = 3
+    x = np.random.default_rng(19).random((5, 4, 2))
+
+    def upsample_axis(t, axis):
+        # every input sample k weighs in at its distance; borders replicate
+        n = t.shape[axis]
+        src = (np.arange(n * factor) + 0.5) / factor - 0.5
+        k = np.arange(-3, n + 3)
+        w = _keys_weights(src[:, None] - k[None, :])
+        return np.moveaxis(np.tensordot(w, np.take(t, np.clip(k, 0, n - 1), axis=axis),
+                                        axes=(1, axis)), 0, axis)
+
+    want = upsample_axis(upsample_axis(x, 0), 1)
+    assert np.allclose(bicubic_upsample(x, factor), want, rtol=0, atol=1e-13)
 
 
 def test_bicubic_constant_band():

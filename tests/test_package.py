@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_public_name_resolves_to_its_submodule_attribute():
-    assert len(set(hsfusion.__all__)) == len(hsfusion.__all__) == 71
+    assert len(set(hsfusion.__all__)) == len(hsfusion.__all__) == 56
     listed = dir(hsfusion)
     for name in hsfusion.__all__:
         namespace = {}

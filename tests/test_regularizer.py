@@ -8,18 +8,14 @@ import pytest
 from hsfusion import (
     DimensionError,
     LogSurrogate,
-    check_rank_sandwich,
-    check_tv_sandwich,
     difference,
     mode_n_product,
     mode_shuffle,
     nms_tctv,
-    tctv,
-    tnn,
-    tsvd_rank,
 )
 
 from _shared import _semi_unitary
+from _theory import check_rank_sandwich, check_tv_sandwich, tctv, tnn, tsvd_rank
 
 PSI = LogSurrogate(0.1)
 

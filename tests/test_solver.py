@@ -18,7 +18,6 @@ from hsfusion import (
     SceneSpec,
     SolverConfig,
     bicubic_upsample,
-    diff_matrix,
     difference,
     extract_subspace,
     kkt_check,
@@ -34,7 +33,6 @@ from hsfusion import (
     simulate,
     solve,
     synth_scene,
-    t_product,
 )
 from hsfusion import regularizer as regularizer_module
 from hsfusion import solver as solver_module
@@ -44,7 +42,6 @@ from hsfusion.solver import (
     _residual_tensors,
     grad_a,
     initial_state,
-    l1_objective,
     residuals,
     step_a,
     step_g,
@@ -55,6 +52,7 @@ from hsfusion.tsvd import _subgradient_deviation
 from dataclasses import fields, replace
 
 from _shared import _misaligned_readonly, _semi_unitary, _tensors
+from _theory import diff_matrix, l1_objective, t_product
 
 PSI = LogSurrogate(0.1)
 
@@ -183,6 +181,18 @@ def test_extract_subspace_rejects_bad_rank():
         extract_subspace(np.zeros((2, 2, 3)), 0)
     with pytest.raises(ValueError):
         extract_subspace(np.zeros((2, 2, 3)), 4)
+
+
+@pytest.mark.parametrize("value", [2.0, True, np.float64(2.0), np.bool_(True)])
+@pytest.mark.parametrize("name, call", [
+    ("r", lambda v: extract_subspace(np.ones((4, 4, 3)), v)),
+    ("factor", lambda v: make_degradation((8, 8, 6), v, 3, 1.0, [(400.0, 2500.0)])),
+])
+def test_r_and_factor_must_be_integers_never_bool(name, call, value):
+    # numpy's integers pass, as the config keys take them
+    call(np.int64(2))
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 # ---------------------------------------------------------------- tau

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +7,9 @@ from hypothesis import strategies as st
 
 from hsfusion import (
     DimensionError,
-    atv_norm,
-    diff_matrix,
     mode_n_product,
     mode_shuffle,
     mode_unshuffle,
-    tv_norm,
     unfold,
 )
 from hsfusion.solver import lipschitz_tau
@@ -26,6 +22,9 @@ from hsfusion.tensor import (
     difference_adjoint,
     require_finite,
 )
+
+from _shared import _traced_peak
+from _theory import atv_norm, diff_matrix, tv_norm
 
 # a cube of exactly two slabs, and the entries a slab-wise scan could miss
 TWO_SLABS = (64, 64, 64)
@@ -359,12 +358,8 @@ def test_all_finite_scans_without_an_array_sized_mask(transpose):
     view = np.random.default_rng(0).random((1024, 64, 64))  # 32 MB
     if transpose:
         view = view.T
-    tracemalloc.start()
-    try:
-        assert all_finite(view)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    finite, peak = _traced_peak(all_finite, view)
+    assert finite
     # an array-sized boolean mask would be an eighth of the floats; one
     # slab's mask is 128 KiB
     assert peak < view.nbytes / 32

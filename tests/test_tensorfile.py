@@ -1,7 +1,6 @@
 import io
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,8 @@ import pytest
 from hsfusion import TensorFileError, load_cube, read_envi, read_tensor, write_tensor
 from hsfusion import tensorfile as tensorfile_module
 from hsfusion.tensor import SLAB_ELEMENTS
+
+from _shared import _traced_peak
 
 # a cube of exactly two slabs, and the entries a slab-wise scan could miss
 TWO_SLABS = (64, 64, 64)
@@ -30,15 +31,20 @@ def test_read_allocates_about_the_payload(tmp_path):
     t = np.random.default_rng(1).standard_normal((48, 48, 120))  # 2.2 MB payload
     path = tmp_path / "t.cmt"
     write_tensor(path, t)
-    tracemalloc.start()
-    try:
-        back = read_tensor(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    back, peak = _traced_peak(read_tensor, path)
     assert np.array_equal(back, t)
     # the array itself plus one slab's finiteness mask
     assert peak < 1.25 * t.nbytes
+
+
+def test_read_names_a_payload_that_shrank_while_it_was_read(tmp_path, monkeypatch):
+    # the size check passed, then the file lost its last value before the payload was read
+    path = tmp_path / "t.cmt"
+    write_tensor(path, np.ones((2, 3, 4)))
+    fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda fh, dtype, count: fromfile(fh, dtype, count - 1))
+    with pytest.raises(TensorFileError, match=rf"^payload of {re.escape(str(path))} shrank"):
+        read_tensor(path)
 
 
 def test_roundtrip_matrix(tmp_path):
@@ -143,15 +149,6 @@ def test_no_temp_file_left_behind(tmp_path):
     path = tmp_path / "t.cmt"
     write_tensor(path, np.zeros((2, 2)))
     assert [p.name for p in tmp_path.iterdir()] == ["t.cmt"]
-
-
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_write_and_read_build_no_payload_sized_temporary(tmp_path):
@@ -264,6 +261,14 @@ def test_envi_roundtrip_float64(tmp_path):
     rng = np.random.default_rng(1)
     cube = rng.random((3, 4, 5))
     hdr = _write_envi(tmp_path, cube, "5", 0)
+    assert np.array_equal(read_envi(hdr), cube)
+
+
+def test_envi_header_skips_blank_and_comment_lines(tmp_path):
+    cube = np.random.default_rng(3).random((3, 4, 2))
+    hdr = _write_envi(tmp_path, cube, "5", 0)
+    text = hdr.read_text()
+    hdr.write_text(text.replace("samples =", "\n; a comment line, no key\n\nsamples =", 1))
     assert np.array_equal(read_envi(hdr), cube)
 
 

@@ -10,7 +10,6 @@ from hsfusion import (
     LogSurrogate,
     SceneSpec,
     SolverConfig,
-    identity_tensor,
     make_degradation,
     mode_shuffle,
     mode_unshuffle,
@@ -20,10 +19,6 @@ from hsfusion import (
     simulate,
     solve,
     synth_scene,
-    t_product,
-    t_svd,
-    t_transpose,
-    tnn,
 )
 from hsfusion import solver as solver_module
 from hsfusion.tsvd import (
@@ -35,6 +30,8 @@ from hsfusion.tsvd import (
     _thin_slice_svd,
     prox_singular_values,
 )
+
+from _theory import identity_tensor, t_product, t_svd, t_transpose, tnn
 
 PSI = LogSurrogate(0.1)
 # numpy.exceptions arrived in numpy 1.25; numpy 1.24 keeps the class at the top level
