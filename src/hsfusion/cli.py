@@ -127,17 +127,20 @@ _PASS_FIELDS = ("residual_x", "residual_y", "residual_g1", "residual_g2", "grad_
 def _report_fault(report, csv):
     """What keeps ``diagnose`` from reading ``report``, or None: every key,
     number and trace length it reads (the traces only with ``csv``), with
-    ``converged`` a boolean, ``iterations`` a non-negative integer, ``tau`` a
-    number and ``tau_mode`` a string."""
+    ``converged`` a boolean, ``iterations`` and ``msi_rank`` non-negative
+    integers, ``tau`` and ``msi_cond`` numbers and ``tau_mode`` a string."""
     if not isinstance(report, dict) or not isinstance(report.get("kkt") or {}, dict):
         return "not a JSON object with a 'kkt' object"
     traces = _TRACES if csv else ()
     # exact JSON types: true and false load as bools, which isinstance counts as ints
-    iters = report.get("iterations")
+    iters, rank = report.get("iterations"), report.get("msi_rank")
     missing = [key for key, ok in (("converged", type(report.get("converged")) is bool),
                                    ("iterations", type(iters) is int and iters >= 0),
                                    ("tau", type(report.get("tau")) in (int, float)),
-                                   ("tau_mode", type(report.get("tau_mode")) is str)) if not ok]
+                                   ("tau_mode", type(report.get("tau_mode")) is str),
+                                   ("msi_rank", type(rank) is int and rank >= 0),
+                                   ("msi_cond", type(report.get("msi_cond")) in (int, float)),
+                                   ) if not ok]
     missing += [key for key in traces if key not in report]
     kkt = report.get("kkt") or {}
     if report.get("converged") and kkt.get("passed"):
@@ -167,6 +170,8 @@ def _cmd_diagnose(args):
         f"iterations={iters} converged={'yes' if report['converged'] else 'no'} "
         f"tau={report['tau']} tau_mode={report['tau_mode']}"
     )
+    print(f"msi_rank={report['msi_rank']} msi_cond={report['msi_cond']:.6g}: the MSI alone "
+          f"{'determines' if report['msi_cond'] < float('inf') else 'does not determine'} the maps")
     if not report["converged"]:
         print("KKT: NOT CONVERGED (max_iter)")
     elif kkt.get("passed"):

@@ -24,6 +24,11 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_integral(value):
+    """An integer or a float of integral value, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value % 1 == 0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver hyperparameters; defaults follow the slow-growth schedule.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _is_int
+from .config import _is_int, _is_integral
 from .errors import DimensionError
 from .tensor import _mode3_blocks, mode_n_product
 
@@ -80,8 +80,8 @@ def default_wavelengths(n):
 
 def gaussian_kernel_1d(size, sigma):
     """Odd-length Gaussian taps exp(-k^2 / (2 sigma^2)) normalized to sum 1."""
-    if size < 1 or size % 2 == 0:
-        raise ValueError(f"kernel size must be odd and positive, got {size}")
+    if not (_is_integral(size) and size >= 1 and size % 2 == 1):
+        raise ValueError(f"kernel_size must be an odd positive integer, got {size!r}")
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     k = np.arange(size, dtype=float) - (size - 1) / 2

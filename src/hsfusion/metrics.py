@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _is_integral
 from .degradation import gaussian_kernel_1d
 from .errors import DimensionError, MetricUndefinedError
 from .tensor import mode_n_product, require_finite
@@ -350,7 +351,7 @@ def bicubic_upsample(x, factor):
     x = np.asarray(x, dtype=float)
     if x.ndim != 3:
         raise DimensionError(f"expected a 3-way tensor, got ndim={x.ndim}")
-    if not (float(factor).is_integer() and factor >= 1):
+    if not (_is_integral(factor) and factor >= 1):
         raise ValueError(f"factor must be a positive integer, got {factor}")
     factor = int(factor)
     if factor == 1:

@@ -137,13 +137,17 @@ class Diagnostics:
     when the solver ran in relative mode). ``wall_time[k]`` is the seconds from resuming the
     loop to its yield of iterate k, with the diagnostics yielded but not their recording or
     the stop test. Every list field is a trace, and :meth:`record` is its one writer;
-    ``objective`` stays empty unless the solve was asked to trace it.
+    ``objective`` stays empty unless the solve was asked to trace it. ``msi_rank`` is the
+    numerical rank of P3 S and ``msi_cond`` its condition number, infinite when
+    ``msi_rank`` < R; at rank R the MSI alone determines the spatial maps.
     """
 
     tau: float
     tau_mode: str
     eps: float
     eps_mode: str
+    msi_rank: int
+    msi_cond: float
     iterations: int = 0
     converged: bool = False
     res_x: list = field(default_factory=list)
@@ -267,9 +271,15 @@ def _residual_tensors(state, problem, diffs):
     )
 
 
+def _norm(t):
+    """``np.linalg.norm(t)`` for a float array, bit for bit, by its own fast path."""
+    flat = t.ravel(order="K")
+    return np.sqrt(flat.dot(flat))
+
+
 def residuals(tensors):
     """The Frobenius norms of the four residual tensors (x, y, g1, g2)."""
-    return np.array([np.linalg.norm(r) for r in tensors])
+    return np.array([_norm(r) for r in tensors])
 
 
 def update_multipliers(state, nu, tensors):
@@ -363,7 +373,7 @@ def _iterates(problem, psi, tau, nu, state, trace_objective):
         with np.errstate(over="ignore", invalid="ignore"):
             res = residuals(tensors)
             grad = grad_a(state, problem, tensors)
-            norms = [np.linalg.norm(grad)] + [state.rho * np.linalg.norm(u) for u in state.u]
+            norms = [_norm(grad)] + [state.rho * _norm(u) for u in state.u]
         if not (np.isfinite(res).all() and np.isfinite(norms).all()):
             raise DivergenceError("a residual, gradient or multiplier norm became non-finite "
                                   f"at iteration {state.iter}")
@@ -429,8 +439,10 @@ def solve(x, y, p1, p2, p3, config, *, trace_objective=False):
     eps = config.eps
     if config.eps_mode == "relative":
         eps *= x_norm
-    diag = Diagnostics(tau=tau, tau_mode=config.tau_mode, eps=eps,
-                       eps_mode=config.eps_mode)
+    msi_rank = int(np.linalg.matrix_rank(problem.q))
+    msi_cond = float(np.linalg.cond(problem.q)) if msi_rank == config.r else np.inf
+    diag = Diagnostics(tau=tau, tau_mode=config.tau_mode, eps=eps, eps_mode=config.eps_mode,
+                       msi_rank=msi_rank, msi_cond=msi_cond)
     iterates = _iterates(problem, psi, tau, config.nu, initial_state(problem, config.rho0),
                          trace_objective)
     for state, res, trace in iterates:

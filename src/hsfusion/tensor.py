@@ -7,7 +7,7 @@ modify their inputs.
 Convention fixed here: ``unfold(t, n)`` puts mode n on the rows; columns
 enumerate the remaining modes with the lower-numbered mode varying fastest.
 Inside the package only the solver's subspace extraction unfolds (mode 3);
-the mode-n products read the C-order layout in place.
+the mode-n products read the C-order layout in place, one product per mode.
 
 :func:`all_finite` is the one whole-array finiteness check that ``solve`` and
 the ``.cmt``/ENVI readers and writer share. It tests :data:`SLAB_ELEMENTS`
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DimensionError
 
 _SHUFFLE_AXES = {1: (1, 2, 0), 2: (0, 2, 1)}
+_UNSHUFFLE_AXES = {1: (2, 0, 1), 2: (0, 2, 1)}  # the inverse permutations
 
 # elements a finiteness scan tests at a time: 1 MiB of float64
 SLAB_ELEMENTS = 1 << 17
@@ -47,11 +48,9 @@ def _check_mode(t, mode):
         raise DimensionError(f"mode must be 1, 2 or 3, got {mode}")
 
 
-def _stencil_slices(mode):
-    """Index tuples of all entries but the last, and all but the first, along mode n."""
-    lo, hi = [slice(None)] * 3, [slice(None)] * 3
-    lo[mode - 1], hi[mode - 1] = slice(None, -1), slice(1, None)
-    return tuple(lo), tuple(hi)
+# per mode n, the index tuples of all entries but the last, and all but the first, along n
+_STENCIL_SLICES = {n: tuple(tuple(cut if axis == n - 1 else slice(None) for axis in range(3))
+                            for cut in (slice(None, -1), slice(1, None))) for n in (1, 2, 3)}
 
 
 def difference(t, mode):
@@ -61,7 +60,7 @@ def difference(t, mode):
     t = np.asarray(t, dtype=float)
     _check_mode(t, mode)
     _check_diff_size(t.shape[mode - 1])
-    lo, hi = _stencil_slices(mode)
+    lo, hi = _STENCIL_SLICES[mode]
     return t[lo] - t[hi]
 
 
@@ -75,7 +74,7 @@ def difference_adjoint(v, mode):
     shape = list(v.shape)
     shape[mode - 1] += 1
     out = np.zeros(shape)
-    lo, hi = _stencil_slices(mode)
+    lo, hi = _STENCIL_SLICES[mode]
     out[lo] = v
     out[hi] -= v
     return out
@@ -90,7 +89,8 @@ def unfold(t, mode):
 
 
 def mode_n_product(t, m, mode):
-    """Mode-n product t x_n m: replaces dimension I_n of t by m.shape[0]."""
+    """Mode-n product t x_n m: replaces dimension I_n of t by m.shape[0]. Mode 1 is the
+    BLAS call of ``np.tensordot(m, t, axes=(1, 0))``, on t as an I1 x (I2 I3) matrix."""
     t = np.asarray(t)
     m = np.asarray(m)
     _check_mode(t, mode)
@@ -101,11 +101,11 @@ def mode_n_product(t, m, mode):
             f"matrix has {m.shape[1]} columns but tensor mode {mode} "
             f"has size {t.shape[mode - 1]}"
         )
-    if mode == 1:  # each branch reads the C-order layout as it is, without copies
-        return np.tensordot(m, t, axes=(1, 0))
+    i1, i2, i3 = t.shape
+    if mode == 1:  # each branch reads a C-order t as it is, without copies
+        return np.dot(m, t.reshape(i1, i2 * i3)).reshape(m.shape[0], i2, i3)
     if mode == 2:
         return np.matmul(m, t)
-    i1, i2, i3 = t.shape
     return (t.reshape(i1 * i2, i3) @ m.T).reshape(i1, i2, m.shape[0])
 
 
@@ -151,8 +151,7 @@ def mode_unshuffle(t, n):
     """Exact inverse of :func:`mode_shuffle` with the same n."""
     if n not in (1, 2):
         raise ValueError(f"shuffle mode must be 1 or 2, got {n}")
-    inv = np.argsort(_SHUFFLE_AXES[n])
-    return np.ascontiguousarray(np.transpose(np.asarray(t), inv))
+    return np.ascontiguousarray(np.transpose(np.asarray(t), _UNSHUFFLE_AXES[n]))
 
 
 def all_finite(a):

@@ -279,6 +279,15 @@ def test_kkt_diagnostics_on_converged_run(converged_run):
     )
 
 
+def test_report_says_the_msi_determines_the_acceptance_maps(converged_run):
+    # rank(P3 S) = R = 3 with the four IKONOS bands: y alone fixes the maps, so this
+    # scene's recovery shows the solver's convergence, not the prior's effect
+    _, _, _, _, _, diag, _ = converged_run
+    report = diag.to_dict()
+    assert report["msi_rank"] == 3
+    assert 1.7 <= report["msi_cond"] <= 1.8
+
+
 def test_hyperparameter_sensitivity(synthetic_instance, converged_run):
     z, deg, x, y = synthetic_instance
     peak = float(z.max())

@@ -366,6 +366,8 @@ def test_fuse_converges_and_reports(pipeline_dir, capsys):
     assert max(finals) <= report["eps"]
     assert report["iterations"] == len(report["res_x"])
     assert report["kkt"]["passed"] is True
+    # four MSI bands determine the R = 2 maps
+    assert report["msi_rank"] == 2 and 1.0 <= report["msi_cond"] < float("inf")
 
 
 def test_fuse_deterministic_output(pipeline_dir, tmp_path, capsys):
@@ -593,6 +595,7 @@ def test_diagnose_pass_line_and_csv(pipeline_dir, tmp_path, capsys):
     )
     assert code == 0
     assert "KKT: PASS" in out
+    assert "msi_rank=2 msi_cond=" in out and ": the MSI alone determines the maps\n" in out
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "iter,res_x,res_y,res_g1,res_g2,rho,objective"
     report = json.loads((pipeline_dir / "report.json").read_text())
@@ -605,6 +608,8 @@ def test_diagnose_not_converged_line(tmp_path, capsys):
         "iterations": 2,
         "tau": 8.0,
         "tau_mode": "safe",
+        "msi_rank": 3,
+        "msi_cond": 1.5,
         "res_x": [1.0, 0.5],
         "res_y": [1.0, 0.5],
         "res_g1": [0.0, 0.0],
@@ -626,6 +631,8 @@ def test_diagnose_names_failed_kkt_checks(tmp_path, capsys):
         "iterations": 1,
         "tau": 8.0,
         "tau_mode": "safe",
+        "msi_rank": 3,
+        "msi_cond": 1.5,
         "res_x": [1e-6],
         "res_y": [1e-6],
         "res_g1": [0.0],
@@ -655,6 +662,8 @@ def _report(iterations, converged=True, kkt=None):
         "iterations": iterations,
         "tau": 8.0,
         "tau_mode": "safe",
+        "msi_rank": 3,
+        "msi_cond": 1.5,
         **{key: list(trace) for key in
            ("res_x", "res_y", "res_g1", "res_g2", "rho", "objective")},
         "kkt": kkt,
@@ -729,6 +738,8 @@ def test_diagnose_csv_rejects_traces_without_one_number_per_iteration(tmp_path, 
     ("iterations", "many"), ("iterations", -3), ("iterations", True), ("iterations", 1.0),
     ("kkt.grad_norm", True), ("kkt.residual_x", False),
     ("tau", True), ("tau", None), ("tau", "8.0"), ("tau_mode", 3), ("tau_mode", None),
+    ("msi_rank", None), ("msi_rank", True), ("msi_rank", -1), ("msi_rank", 3.0),
+    ("msi_cond", None), ("msi_cond", False), ("msi_cond", "1.5"),
 ])
 def test_diagnose_rejects_a_value_of_the_wrong_json_type(tmp_path, capsys, key, value):
     # true and false are no numbers, converged is a boolean, iterations a count and
@@ -748,6 +759,17 @@ def test_diagnose_rejects_a_report_without_a_usable_tau(tmp_path, capsys, extra,
     report = {"converged": False, "iterations": 2, "kkt": None, **extra}
     err = _diagnose_fails(capsys, tmp_path, report)
     assert err.endswith(f": no usable {key!r}\n")
+
+
+@pytest.mark.parametrize("rank, cond, verdict", [(3, 1.5, "determines"),
+                                                  (2, float("inf"), "does not determine")])
+def test_diagnose_says_whether_the_msi_determines_the_maps(tmp_path, capsys, rank, cond, verdict):
+    # an infinite msi_cond, written as JSON's Infinity, marks rank(P3 S) < R
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({**_report(1, converged=False), "msi_rank": rank, "msi_cond": cond}))
+    code, out, _ = _run(capsys, "diagnose", "--report", str(path))
+    assert code == 0
+    assert f"msi_rank={rank} msi_cond={cond:.6g}: the MSI alone {verdict} the maps\n" in out
 
 
 def test_diagnose_malformed_report(tmp_path, capsys):

@@ -53,6 +53,19 @@ def test_kernel_rejects_even_size():
         gaussian_kernel_1d(8, 1.0)
 
 
+@pytest.mark.parametrize("size", [True, np.True_, 3.5, np.float64(9.5), 0, -3, "9"])
+def test_kernel_size_must_be_an_odd_positive_integer(size):
+    # True would build a 1-tap kernel that blurs nothing; 3.5 would fail only later, in
+    # build_spatial_degradation
+    message = rf"^kernel_size must be an odd positive integer, got {re.escape(repr(size))}$"
+    with pytest.raises(ValueError, match=message):
+        gaussian_kernel_1d(size, 1.0)
+    with pytest.raises(ValueError, match=message):
+        make_degradation((8, 8, 4), 2, size, 1.0, ((400.0, 2500.0),))
+    # an integral float names the same size
+    assert np.array_equal(gaussian_kernel_1d(9.0, 2.0), gaussian_kernel_1d(9, 2.0))
+
+
 @pytest.mark.parametrize("sigma", [np.inf, np.nan, 0.0])
 def test_kernel_rejects_a_sigma_that_is_not_positive_and_finite(sigma):
     # an infinite sigma would flatten the taps into a box kernel

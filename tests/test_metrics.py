@@ -485,9 +485,9 @@ def test_bicubic_factor_one_identity():
     assert np.array_equal(bicubic_upsample(t, 1), t)
 
 
-@pytest.mark.parametrize("factor", [2.5, 0.5, 0])
+@pytest.mark.parametrize("factor", [2.5, 0.5, 0, True, np.True_, 3.5, "4", None])
 def test_bicubic_rejects_a_factor_that_is_not_a_positive_integer(factor):
-    # a truncated 2.5 would upsample by 2
+    # a truncated 2.5 would upsample by 2, True by 1 (a plain copy)
     t = np.random.default_rng(16).random((4, 4, 2))
     with pytest.raises(ValueError, match=f"factor must be a positive integer, got {factor}"):
         bicubic_upsample(t, factor)

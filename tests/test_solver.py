@@ -39,6 +39,7 @@ from hsfusion import solver as solver_module
 from hsfusion.solver import (
     FusionProblem,
     SolverState,
+    _norm,
     _residual_tensors,
     grad_a,
     initial_state,
@@ -878,10 +879,10 @@ def test_wall_time_covers_each_iteration_and_its_diagnostics(monkeypatch):
     assert sum(diag.wall_time) <= total
 
 
-_REPORT_KEYS = ["tau", "tau_mode", "eps", "eps_mode", "iterations", "converged",
-                "res_x", "res_y", "res_g1", "res_g2", "rho", "objective", "grad_norm",
-                "wall_time", "mx_norm", "my_norm", "kkt"]
-_TRACE_KEYS = _REPORT_KEYS[6:16]  # res_x ... my_norm
+_REPORT_KEYS = ["tau", "tau_mode", "eps", "eps_mode", "msi_rank", "msi_cond", "iterations",
+                "converged", "res_x", "res_y", "res_g1", "res_g2", "rho", "objective",
+                "grad_norm", "wall_time", "mx_norm", "my_norm", "kkt"]
+_TRACE_KEYS = _REPORT_KEYS[8:18]  # res_x ... my_norm
 
 
 @pytest.mark.parametrize("shape, r", [((6, 5, 8), 3), ((2, 2, 1), 1)])
@@ -896,6 +897,7 @@ def test_report_keys_and_traces_keep_their_schema(shape, r):
                         trace_objective=trace_objective)
         report = diag.to_dict()
         assert list(report) == _REPORT_KEYS
+        assert type(report["msi_rank"]) is int and type(report["msi_cond"]) is float
         for key in _TRACE_KEYS:
             trace = report[key]
             if key == "objective" and not trace_objective:
@@ -903,6 +905,33 @@ def test_report_keys_and_traces_keep_their_schema(shape, r):
                 continue
             assert len(trace) == diag.iterations == 5, key
             assert all(type(v) is float for v in trace), key
+
+
+@pytest.mark.parametrize("bands, r", [(4, 3), (4, 4), (2, 3), (1, 2)])
+def test_report_says_whether_the_msi_determines_the_maps(bands, r):
+    # rank(P3 S) = R exactly when y alone fixes a; then msi_cond is sigma_1/sigma_R of
+    # P3 S, and with fewer MSI bands than R the rank falls short and msi_cond is inf
+    prob = _random_problem(np.random.default_rng(41), big=(6, 5, 8), small=(3, 2, bands), r=r)
+    _, diag = solve(prob.x, prob.y, prob.p1, prob.p2, prob.p3, SolverConfig(r=r, max_iter=1))
+    q = prob.p3 @ extract_subspace(prob.x, r)
+    sv = np.linalg.svd(q, compute_uv=False)
+    assert diag.msi_rank == min(bands, r) == np.linalg.matrix_rank(q)
+    if bands >= r:
+        assert diag.msi_cond == pytest.approx(sv[0] / sv[r - 1], rel=1e-12)
+    else:
+        assert diag.msi_cond == np.inf
+
+
+@pytest.mark.parametrize("layout", ["C", "transposed", "strided"])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e-200, 1e160, 1e300])
+@pytest.mark.parametrize("shape", [(9, 8, 7), (6, 5, 4)])
+def test_norm_helper_has_the_bits_of_linalg_norm(shape, scale, layout):
+    # 1e160 and 1e300 overflow the sum of squares to inf, 1e-200 underflows it to 0
+    base = np.random.default_rng(sum(shape)).standard_normal(shape) * scale
+    t = {"C": base, "transposed": base.transpose(2, 0, 1), "strided": base[:, ::2, 1:]}[layout]
+    with np.errstate(over="ignore", under="ignore"):
+        want, got = np.linalg.norm(t), _norm(t)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_solve_rejects_non_finite_inputs():
@@ -1201,7 +1230,8 @@ def test_kkt_zero_data_exact_point():
     tensors = _tensors(state, zero)
     grad_norm = np.linalg.norm(grad_a(state, zero, tensors))
     rep = kkt_check(state, PSI, residuals(tensors), grad_norm,
-                    Diagnostics(tau=8.0, tau_mode="safe", eps=1e-5, eps_mode="absolute"))
+                    Diagnostics(tau=8.0, tau_mode="safe", eps=1e-5, eps_mode="absolute",
+                                msi_rank=3, msi_cond=1.0))
     assert rep.passed
     assert rep.grad_norm == 0.0
     assert rep.subgrad_dev_g1 == 0.0 and rep.subgrad_dev_g2 == 0.0
@@ -1214,7 +1244,7 @@ def test_kkt_check_reports_growth_over_a_zero_median(trace, ratio):
                          p2=np.eye(2, 5), p3=np.full((4, 8), 0.125), s=np.eye(8, 3))
     state = initial_state(zero, 1.0)
     diag = Diagnostics(tau=8.0, tau_mode="safe", eps=1e-5, eps_mode="absolute",
-                       mx_norm=list(trace), my_norm=list(trace))
+                       msi_rank=3, msi_cond=1.0, mx_norm=list(trace), my_norm=list(trace))
     rep = kkt_check(state, PSI, residuals(_tensors(state, zero)), 0.0, diag)
     assert rep.mx_final_over_median == rep.my_final_over_median == ratio
     assert rep.mx_trace_max == rep.my_trace_max == max(trace)

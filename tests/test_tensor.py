@@ -167,6 +167,31 @@ def test_mode_product_matches_einsum_and_unfold_fold(shape, mode, rows, fortran,
     assert np.linalg.norm(got - _unfold_fold_product(t, m, mode)) <= scale
 
 
+# (I1, I2, I3, rows): odd and even sides, I_n = 1, and the 64x64x32 solve's two mode-1
+# products (a x_1 P1 and its adjoint's x_1 P1^T)
+_MODE1_SHAPES = [(5, 6, 3, 4), (6, 5, 7, 3), (1, 4, 2, 1), (7, 1, 1, 2), (64, 64, 3, 16),
+                 (16, 16, 3, 64)]
+
+
+@pytest.mark.parametrize("shape", _MODE1_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("matrix", ["C", "F", "transposed", "strided"])
+@pytest.mark.parametrize("tensor", ["C", "F", "strided"])
+def test_mode1_product_has_the_bits_of_tensordot(shape, matrix, tensor):
+    i1, i2, i3, rows = shape
+    rng = np.random.default_rng(i1 * i2 * i3 + rows)
+    m = {"C": lambda: rng.standard_normal((rows, i1)),
+         "F": lambda: np.asfortranarray(rng.standard_normal((rows, i1))),
+         "transposed": lambda: rng.standard_normal((i1, rows)).T,
+         "strided": lambda: rng.standard_normal((rows, 2 * i1))[:, ::2]}[matrix]()
+    t = rng.standard_normal((i1, i2, 2 * i3))
+    t = {"C": np.ascontiguousarray(t[..., :i3]), "F": np.asfortranarray(t[..., :i3]),
+         "strided": t[..., ::2]}[tensor]
+    want = np.tensordot(m, t, axes=(1, 0))
+    got = mode_n_product(t, m, 1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     shape=st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(1, 4)),
