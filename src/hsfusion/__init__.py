@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "tensor": ("difference", "mode_n_product", "mode_shuffle", "mode_unshuffle", "unfold"),
     "tensorfile": ("load_cube", "read_envi", "read_tensor", "write_tensor"),
-    "tsvd": ("LogSurrogate", "ntpnn", "ntpnn_prox", "scalar_prox"),
+    "tsvd": ("LogSurrogate", "ntpnn", "ntpnn_prox"),
 }
 
 # public name -> the submodule that defines it

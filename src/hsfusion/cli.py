@@ -7,6 +7,7 @@ only what its command needs: ``diagnose`` never loads numpy, ``simulate`` and
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -42,6 +43,15 @@ def _parse_shape(text):
     if any(d < 1 for d in shape):
         raise ValueError(f"shape entries must be positive, got {text!r}")
     return shape
+
+
+def _strict_json(value):
+    """value with each non-finite float as None (null: RFC 8259 has no Infinity or NaN)."""
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _cmd_simulate(args):
@@ -91,7 +101,7 @@ def _cmd_fuse(args):
     write_tensor(args.out, z_hat)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(diag.to_dict(), fh, indent=1)
+            json.dump(_strict_json(diag.to_dict()), fh, indent=1, allow_nan=False)
     status = "converged" if diag.converged else "not converged (max_iter)"
     final = max(getattr(diag.kkt, key) for key in _PASS_FIELDS[:4])
     print(
@@ -128,18 +138,19 @@ def _report_fault(report, csv):
     """What keeps ``diagnose`` from reading ``report``, or None: every key,
     number and trace length it reads (the traces only with ``csv``), with
     ``converged`` a boolean, ``iterations`` and ``msi_rank`` non-negative
-    integers, ``tau`` and ``msi_cond`` numbers and ``tau_mode`` a string."""
+    integers, ``tau`` a number, ``msi_cond`` a number or null (infinite) and
+    ``tau_mode`` a string."""
     if not isinstance(report, dict) or not isinstance(report.get("kkt") or {}, dict):
         return "not a JSON object with a 'kkt' object"
     traces = _TRACES if csv else ()
     # exact JSON types: true and false load as bools, which isinstance counts as ints
-    iters, rank = report.get("iterations"), report.get("msi_rank")
+    iters, rank, cond = report.get("iterations"), report.get("msi_rank"), report.get("msi_cond", "")
     missing = [key for key, ok in (("converged", type(report.get("converged")) is bool),
                                    ("iterations", type(iters) is int and iters >= 0),
                                    ("tau", type(report.get("tau")) in (int, float)),
                                    ("tau_mode", type(report.get("tau_mode")) is str),
                                    ("msi_rank", type(rank) is int and rank >= 0),
-                                   ("msi_cond", type(report.get("msi_cond")) in (int, float)),
+                                   ("msi_cond", type(cond) in (int, float, type(None))),
                                    ) if not ok]
     missing += [key for key in traces if key not in report]
     kkt = report.get("kkt") or {}
@@ -170,8 +181,9 @@ def _cmd_diagnose(args):
         f"iterations={iters} converged={'yes' if report['converged'] else 'no'} "
         f"tau={report['tau']} tau_mode={report['tau_mode']}"
     )
-    print(f"msi_rank={report['msi_rank']} msi_cond={report['msi_cond']:.6g}: the MSI alone "
-          f"{'determines' if report['msi_cond'] < float('inf') else 'does not determine'} the maps")
+    cond = float("inf") if report["msi_cond"] is None else report["msi_cond"]
+    print(f"msi_rank={report['msi_rank']} msi_cond={cond:.6g}: the MSI alone "
+          f"{'determines' if cond < float('inf') else 'does not determine'} the maps")
     if not report["converged"]:
         print("KKT: NOT CONVERGED (max_iter)")
     elif kkt.get("passed"):

@@ -26,7 +26,6 @@ from .config import TAU_MODES, SolverConfig, _is_int  # noqa: F401 (SolverConfig
 from .errors import DimensionError, DivergenceError
 from .regularizer import _from_norm_layout, _to_norm_layout, nms_tctv
 from .tensor import (
-    _mode3_blocks,
     all_finite,
     diff_norm_sq,
     difference,
@@ -457,5 +456,5 @@ def solve(x, y, p1, p2, p3, config, *, trace_objective=False):
     diag.iterations = state.iter
     diag.converged = reason == "tol"
     diag.kkt = kkt_check(state, psi, res, trace["grad_norm"], diag)
-    z_hat = _mode3_blocks(state.a, s)
+    z_hat = mode_n_product(state.a, s, 3)
     return z_hat, diag

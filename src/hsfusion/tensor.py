@@ -12,10 +12,10 @@ the mode-n products read the C-order layout in place, one product per mode.
 :func:`all_finite` is the one whole-array finiteness check that ``solve`` and
 the ``.cmt``/ENVI readers and writer share. It tests :data:`SLAB_ELEMENTS`
 elements (1 MiB of float64) at a time through a single boolean mask of that
-size, so no check builds an array-sized mask. The cubes the package builds
-from spatial maps and a spectral basis, the synthetic scene and ``solve``'s
-``z_hat``, are written in row blocks of that size by ``_mode3_blocks``, which
-also checks each block while it is still in cache when asked to.
+size, so no check builds an array-sized mask. Every mode-3 product (the
+synthetic scene, ``simulate``'s y, the solve loop's four and ``z_hat``) is
+formed by ``_mode3_blocks`` in row blocks of that size, which it also checks
+while each is still in cache when asked to.
 """
 
 import numpy as np
@@ -106,31 +106,24 @@ def mode_n_product(t, m, mode):
         return np.dot(m, t.reshape(i1, i2 * i3)).reshape(m.shape[0], i2, i3)
     if mode == 2:
         return np.matmul(m, t)
-    return (t.reshape(i1 * i2, i3) @ m.T).reshape(i1, i2, m.shape[0])
+    return _mode3_blocks(t, m)
 
 
-def _mode3_blocks(a, s, name=None):
-    """a x_3 s for spatial maps a (I1, I2, R) and a basis s (I3, R), as a new
-    C-order (I1, I2, I3) cube written in row blocks of at most
-    :data:`SLAB_ELEMENTS` elements (one row when a row is larger).
-
-    With ``name``, each block is checked while it is still in cache, and a
-    NaN or Inf raises ValueError as :func:`require_finite` does. Each block is
-    one BLAS product on whole rows of pixels, the operands laid out as
-    :func:`mode_n_product` lays them out, so the cube equals
-    ``mode_n_product(a, s, 3)`` bit for bit wherever the BLAS rounds an entry
-    the same for any number of rows. In a sweep of OpenBLAS 0.3.31 over
-    R <= 12 and I3 <= 516, every shape did so on its SandyBridge kernels;
-    some shapes with R >= 8 (Haswell kernels) or with I3 >= 194 and R >= 2
-    (SkylakeX kernels) differ from the whole-cube product in the last bit.
+def _mode3_blocks(t, m, name=None):
+    """t x_3 m for a tensor t (I1, I2, I3) and a matrix m (J, I3): a new C-order
+    (I1, I2, J) cube, each row block of at most :data:`SLAB_ELEMENTS` elements (one
+    row when a row is larger) one BLAS product of its pixels with m.T. Every mode-3
+    product in the package is formed in these blocks, so none rounds differently for
+    the path that formed it. With ``name``, each block is checked while it is still
+    in cache, and a NaN or Inf raises ValueError as :func:`require_finite` does.
     """
-    i1, i2, r = a.shape
-    i3 = s.shape[0]
-    out = np.empty((i1, i2, i3))
-    rows = max(1, SLAB_ELEMENTS // max(1, i2 * i3))
+    (i1, i2, i3), j = t.shape, m.shape[0]
+    out = np.empty((i1, i2, j), np.result_type(t, m))
+    rows = max(1, SLAB_ELEMENTS // max(1, i2 * j))
     for i in range(0, i1, rows):
-        block = out[i : i + rows].reshape(-1, i3)
-        np.matmul(a[i : i + rows].reshape(-1, r), s.T, out=block)
+        pixels = (min(i + rows, i1) - i) * i2
+        block = out[i : i + rows].reshape(pixels, j)
+        np.matmul(t[i : i + rows].reshape(pixels, i3), m.T, out=block)
         if name is not None:
             require_finite(block, name)
     return out

@@ -130,13 +130,6 @@ def prox_singular_values(sig, rho, psi):
     return np.where(take, root, 0.0)
 
 
-def scalar_prox(s, rho, psi):
-    """Scalar form of :func:`prox_singular_values`."""
-    if s < 0:
-        raise ValueError(f"prox input must be nonnegative, got {s}")
-    return float(prox_singular_values(np.asarray([s], dtype=float), rho, psi)[0])
-
-
 def ntpnn_prox(c, rho, psi):
     """Minimizer of ntpnn(g, psi) + rho*|g - c|_F^2 over real tensors g.
 

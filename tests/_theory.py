@@ -1,6 +1,7 @@
 """The paper's analysis, which the solver never runs: the t-SVD algebra, the
-rank and TV sandwich propositions, D_n as a matrix, the TV norms, and the
-smooth objective that ``grad_a`` differentiates."""
+rank and TV sandwich propositions, D_n as a matrix, the TV norms, the
+smooth objective that ``grad_a`` differentiates, the scalar prox and the
+prior-free fit of the data."""
 
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ from hsfusion.errors import DimensionError
 from hsfusion.regularizer import _to_norm_layout, nms_tctv
 from hsfusion.tensor import _check_diff_size, difference, mode_n_product
 from hsfusion.tsvd import (_factorization_error, _fourier_singular_values, _fourier_slices,
-                           _from_fourier_slices)
+                           _from_fourier_slices, prox_singular_values)
 
 from _shared import _tensors
 
@@ -230,3 +231,50 @@ def l1_objective(state, problem):
     """Smooth augmented objective in a, the sum of |r + u|_F^2 over the four
     constraints and their scaled duals (the quantity grad_a differentiates)."""
     return float(sum(np.sum((r + u) ** 2) for r, u in zip(_tensors(state, problem), state.u)))
+
+
+def scalar_prox(s, rho, psi):
+    """Scalar form of ``prox_singular_values``."""
+    if s < 0:
+        raise ValueError(f"prox input must be nonnegative, got {s}")
+    return float(prox_singular_values(np.asarray([s], dtype=float), rho, psi)[0])
+
+
+def prior_free_fit(problem, steps=300):
+    """The fit of both data maps, a -> (a x_1 P1 x_2 P2 x_3 S, a x_3 P3 S), with no
+    prior: z = a x_3 S for the least-norm a among the least-squares fits of x and
+    y, and its relative misfit |(x, y) - A a| / |(x, y)|.
+
+    ``steps`` steps of CG on the normal equations from a = 0, in the CGLS form
+    (A and A^T applied in turn, A^T A never formed), so the iterates stay in the
+    range of A^T and tend to the least-norm fit. With A^T A formed, rounding
+    reaches the null space of A, and on an underdetermined scene the iterates
+    then grow without bound.
+    """
+    p1, p2, s, q = problem.p1, problem.p2, problem.s, problem.q
+
+    def forward(a):
+        lo = mode_n_product(mode_n_product(a, p1, 1), p2, 2)
+        return mode_n_product(lo, s, 3), mode_n_product(a, q, 3)
+
+    def adjoint(vx, vy):
+        back = mode_n_product(mode_n_product(mode_n_product(vx, s.T, 3), p1.T, 1), p2.T, 2)
+        return back + mode_n_product(vy, q.T, 3)
+
+    rx, ry = problem.x.copy(), problem.y.copy()
+    g = adjoint(rx, ry)
+    a, d = np.zeros_like(g), g.copy()
+    gg = np.vdot(g, g)
+    for _ in range(steps):
+        if gg == 0.0:
+            break
+        fx, fy = forward(d)
+        alpha = gg / (np.vdot(fx, fx) + np.vdot(fy, fy))
+        a += alpha * d
+        rx -= alpha * fx
+        ry -= alpha * fy
+        g = adjoint(rx, ry)
+        gg, gg_old = np.vdot(g, g), gg
+        d = g + (gg / gg_old) * d
+    data = np.vdot(problem.x, problem.x) + np.vdot(problem.y, problem.y)
+    return mode_n_product(a, s, 3), float(np.sqrt((np.vdot(rx, rx) + np.vdot(ry, ry)) / data))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hsfusion import MetricReport, SolverConfig, evaluate, read_tensor, write_tensor
-from hsfusion.cli import _build_parser, main
+from hsfusion.cli import _FILES, _build_parser, _strict_json, main
 from hsfusion.config import KEYS, RunConfig, build_run_config, parse_config_text
 from hsfusion.degradation import IKONOS_BANDS, LANDSAT7_BANDS, read_band_table
 
@@ -739,7 +739,7 @@ def test_diagnose_csv_rejects_traces_without_one_number_per_iteration(tmp_path, 
     ("kkt.grad_norm", True), ("kkt.residual_x", False),
     ("tau", True), ("tau", None), ("tau", "8.0"), ("tau_mode", 3), ("tau_mode", None),
     ("msi_rank", None), ("msi_rank", True), ("msi_rank", -1), ("msi_rank", 3.0),
-    ("msi_cond", None), ("msi_cond", False), ("msi_cond", "1.5"),
+    ("msi_cond", "inf"), ("msi_cond", False), ("msi_cond", "1.5"),
 ])
 def test_diagnose_rejects_a_value_of_the_wrong_json_type(tmp_path, capsys, key, value):
     # true and false are no numbers, converged is a boolean, iterations a count and
@@ -762,14 +762,57 @@ def test_diagnose_rejects_a_report_without_a_usable_tau(tmp_path, capsys, extra,
 
 
 @pytest.mark.parametrize("rank, cond, verdict", [(3, 1.5, "determines"),
-                                                  (2, float("inf"), "does not determine")])
+                                                  (2, float("inf"), "does not determine"),
+                                                  (2, None, "does not determine")])
 def test_diagnose_says_whether_the_msi_determines_the_maps(tmp_path, capsys, rank, cond, verdict):
-    # an infinite msi_cond, written as JSON's Infinity, marks rank(P3 S) < R
+    # an infinite msi_cond marks rank(P3 S) < R: fuse writes it as null, and older
+    # reports hold JSON's non-standard Infinity
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({**_report(1, converged=False), "msi_rank": rank, "msi_cond": cond}))
     code, out, _ = _run(capsys, "diagnose", "--report", str(path))
     assert code == 0
-    assert f"msi_rank={rank} msi_cond={cond:.6g}: the MSI alone {verdict} the maps\n" in out
+    shown = "inf" if cond is None else f"{cond:.6g}"
+    assert f"msi_rank={rank} msi_cond={shown}: the MSI alone {verdict} the maps\n" in out
+
+
+def test_diagnose_rejects_a_report_without_msi_cond(tmp_path, capsys):
+    report = _report(1, converged=False)
+    del report["msi_cond"]
+    err = _diagnose_fails(capsys, tmp_path, report)
+    assert err.endswith(": no usable 'msi_cond'\n")
+
+
+def _strict_loads(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_report_of_an_underdetermined_scene_is_strict_json(tmp_path, capsys):
+    # R = 6 over the four IKONOS bands: rank(P3 S) = 4 < R, so msi_cond is infinite
+    code, _, _ = _run(capsys, "simulate", "--synthetic", "16x16x32", "--r", "6", "--factor", "4",
+                      "--kernel-size", "3", "--band-table", "ikonos", "--out-dir", str(tmp_path))
+    assert code == 0
+    report_path = tmp_path / "report.json"
+    code, _, _ = _run(capsys, "fuse", *(f"--{n}={tmp_path / n}.cmt" for n in _FILES),
+                      "--r", "6", "--max-iter", "3", "--out", str(tmp_path / "z_hat.cmt"),
+                      "--report", str(report_path))
+    assert code == 0
+    report = _strict_loads(report_path.read_text())
+    assert report["msi_rank"] == 4 and report["msi_cond"] is None
+    code, out, _ = _run(capsys, "diagnose", "--report", str(report_path),
+                        "--csv", str(tmp_path / "curves.csv"))
+    assert code == 0
+    assert "msi_rank=4 msi_cond=inf: the MSI alone does not determine the maps\n" in out
+
+
+def test_strict_json_writes_every_non_finite_float_as_null():
+    value = {"ratio": float("inf"), "kkt": {"x": float("-inf"), "n": 2, "ok": True},
+             "trace": [1.5, float("nan")], "mode": "safe", "none": None}
+    got = _strict_json(value)
+    assert got == {"ratio": None, "kkt": {"x": None, "n": 2, "ok": True},
+                   "trace": [1.5, None], "mode": "safe", "none": None}
+    assert _strict_loads(json.dumps(got, allow_nan=False)) == got
 
 
 def test_diagnose_malformed_report(tmp_path, capsys):

@@ -357,11 +357,29 @@ def test_mode3_blocks_has_the_bits_of_the_whole_cube_product(shape, layout):
     a, s = rng.random((i1, i2, r)), rng.standard_normal((i3, r))
     if layout == "F":
         a = np.asfortranarray(a)
-    want = mode_n_product(a, s, 3)
-    for name in (None, "cube"):
-        got = _mode3_blocks(a, s, name)
+    # one BLAS product over the whole cube: on these shapes the row blocks round
+    # every entry as it does, under OpenBLAS's SkylakeX, Haswell and SandyBridge kernels
+    want = (a.reshape(i1 * i2, r) @ s.T).reshape(i1, i2, i3)
+    for got in (_mode3_blocks(a, s), _mode3_blocks(a, s, "cube"), mode_n_product(a, s, 3)):
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, rows", [((2, 3, 0), 2), ((2, 3, 4), 0), ((0, 3, 4), 2),
+                                         ((2, 0, 4), 2)])
+def test_mode3_product_of_an_empty_dimension(shape, rows):
+    # an empty contraction gives zeros, and an empty output dimension an empty cube
+    got = mode_n_product(np.ones(shape), np.ones((rows, shape[2])), 3)
+    assert got.shape == shape[:2] + (rows,) and not got.any()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex128])
+def test_mode3_product_keeps_the_operands_result_type(dtype):
+    t = np.arange(24).reshape(2, 3, 4).astype(dtype)
+    m = np.arange(8).reshape(2, 4).astype(dtype)
+    got = mode_n_product(t, m, 3)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.einsum("ijk,lk->ijl", t, m))
 
 
 def test_require_finite_names_the_array():

@@ -15,7 +15,6 @@ from hsfusion import (
     mode_unshuffle,
     ntpnn,
     ntpnn_prox,
-    scalar_prox,
     simulate,
     solve,
     synth_scene,
@@ -31,7 +30,7 @@ from hsfusion.tsvd import (
     prox_singular_values,
 )
 
-from _theory import identity_tensor, t_product, t_svd, t_transpose, tnn
+from _theory import identity_tensor, scalar_prox, t_product, t_svd, t_transpose, tnn
 
 PSI = LogSurrogate(0.1)
 # numpy.exceptions arrived in numpy 1.25; numpy 1.24 keeps the class at the top level
