@@ -6,6 +6,9 @@ float key to be finite. Command-line flags override file values, which
 override the defaults of ``RunConfig``. ``RunConfig`` extends ``SolverConfig``,
 so each solver key, its default and its checks are declared once, there.
 
+Each rule a key shares with a library function (gamma, tau_mode, kernel_size,
+sigma, seed, peak) is one ``_check_*`` here, so both raise the same error.
+
 This module imports no numpy, so a command that only reads its configuration
 (or none) starts without the numerical stack.
 """
@@ -17,6 +20,9 @@ from typing import get_args
 
 TAU_MODES = ("paper", "safe")
 EPS_MODES = ("absolute", "relative")
+# a key type's admitted values and their name: numpy's pass; bool, though Integral, does not
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+          str: (str, "a string")}
 
 
 def _is_int(value):
@@ -27,6 +33,39 @@ def _is_int(value):
 def _is_integral(value):
     """An integer or a float of integral value, numpy's included, but not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and value % 1 == 0
+
+
+def _check_type(name, value, typ):
+    kind, what = _KINDS[typ]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_positive_finite(name, value):  # gamma, sigma; rho0, eps, the resolution ratio
+    _check_type(name, value, float)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_one_of(name, value, choices):  # tau_mode; eps_mode
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _check_kernel_size(size):  # a float of integral value names the same size
+    if not (_is_integral(size) and size >= 1 and size % 2 == 1):
+        raise ValueError(f"kernel_size must be an odd positive integer, got {size!r}")
+
+
+def _check_seed(seed):  # each caller applies the type rule first
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def _check_peak(peak):  # the fourth power scales SSIM's C1 C2
+    _check_type("peak", peak, float)
+    if not (peak > 0 and math.isfinite((p := float(peak)) * p * p * p)):
+        raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
 
 
 @dataclass(frozen=True)
@@ -50,29 +89,20 @@ class SolverConfig:
     eps_mode: str = "absolute"
 
     def __post_init__(self):
-        kinds = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
-                 str: (str, "a string")}  # numpy numbers pass; bool, though Integral, does not
         for f in fields(self):  # RunConfig's fields too, whose r and peak may be None
-            value, (kind, name) = getattr(self, f.name), kinds[(get_args(f.type) or (f.type,))[0]]
-            if not (isinstance(value, kind) and not isinstance(value, bool)
-                    or value is None and f.type not in kinds):
-                raise ValueError(f"{f.name} must be {name}, got {value!r}")
+            if (value := getattr(self, f.name)) is not None or f.type in _KINDS:
+                _check_type(f.name, value, (get_args(f.type) or (f.type,))[0])
         if self.r is not None and self.r < 1:
             raise ValueError(f"subspace dimension must be >= 1, got {self.r}")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not (self.rho0 > 0 and math.isfinite(self.rho0)):
-            raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
+        _check_positive_finite("gamma", self.gamma)
+        _check_positive_finite("rho0", self.rho0)
         if not (self.nu > 1 and math.isfinite(self.nu)):
             raise ValueError(f"nu must be finite and exceed 1, got {self.nu}")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        _check_positive_finite("eps", self.eps)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tau_mode not in TAU_MODES:
-            raise ValueError(f"tau_mode must be one of {TAU_MODES}, got {self.tau_mode!r}")
-        if self.eps_mode not in EPS_MODES:
-            raise ValueError(f"eps_mode must be one of {EPS_MODES}, got {self.eps_mode!r}")
+        _check_one_of("tau_mode", self.tau_mode, TAU_MODES)
+        _check_one_of("eps_mode", self.eps_mode, EPS_MODES)
 
 
 @dataclass(frozen=True)
@@ -93,15 +123,11 @@ class RunConfig(SolverConfig):
         super().__post_init__()
         if self.factor < 1:
             raise ValueError(f"factor must be >= 1, got {self.factor}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be odd and positive, got {self.kernel_size}")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        peak = self.peak  # its fourth power scales SSIM's C1 C2, so it must be finite too
-        if peak is not None and not (peak > 0 and math.isfinite((p := float(peak)) * p * p * p)):
-            raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
+        _check_kernel_size(self.kernel_size)
+        _check_positive_finite("sigma", self.sigma)
+        _check_seed(self.seed)
+        if self.peak is not None:
+            _check_peak(self.peak)
 
     def require_r(self):
         if self.r is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _is_int, _is_integral
+from .config import _check_kernel_size, _check_positive_finite, _check_seed, _check_type, _is_int
 from .errors import DimensionError
 from .tensor import _mode3_blocks, mode_n_product
 
@@ -80,10 +80,8 @@ def default_wavelengths(n):
 
 def gaussian_kernel_1d(size, sigma):
     """Odd-length Gaussian taps exp(-k^2 / (2 sigma^2)) normalized to sum 1."""
-    if not (_is_integral(size) and size >= 1 and size % 2 == 1):
-        raise ValueError(f"kernel_size must be an odd positive integer, got {size!r}")
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_kernel_size(size)
+    _check_positive_finite("sigma", sigma)
     k = np.arange(size, dtype=float) - (size - 1) / 2
     w = np.exp(-(k * k) / (2.0 * sigma * sigma))
     return w / w.sum()
@@ -99,12 +97,9 @@ def build_spatial_degradation(big_dim, factor, kernel):
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 1 or kernel.size % 2 == 0:
         raise ValueError("kernel must be a 1-d odd-length vector")
-    if not _is_int(factor):
-        raise ValueError(f"factor must be an integer, got {factor!r}")
+    _check_type("factor", factor, int)
     if factor < 1 or big_dim % factor:
-        raise DimensionError(
-            f"dimension {big_dim} not divisible by factor {factor}"
-        )
+        raise DimensionError(f"dimension {big_dim} not divisible by factor {factor}")
     center = (kernel.size - 1) // 2
     conv = np.zeros((big_dim, big_dim))
     cols = np.arange(big_dim)
@@ -194,17 +189,13 @@ class SceneSpec:
                 and all(_is_int(n) and n >= 1 for n in shape)):
             raise ValueError(f"shape must be three positive integers, got {shape!r}")
         for name in ("r", "blocks", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _check_type(name, getattr(self, name), int)
         i1, i2, i3 = shape
         if not 1 <= self.r <= min(i3, i1 * i2):
-            raise ValueError(
-                f"scene rank {self.r} out of range for shape {self.shape}"
-            )
+            raise ValueError(f"scene rank {self.r} out of range for shape {self.shape}")
         if self.blocks < 1:
             raise ValueError(f"blocks must be >= 1, got {self.blocks}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
         if self.spectra not in ("random", "smooth"):
             raise ValueError(f"unknown spectra kind {self.spectra!r}")
 

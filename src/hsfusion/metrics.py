@@ -3,17 +3,18 @@
 Conventions (they matter when comparing against published tables):
 
 * PSNR is computed per band and averaged; zero-error bands contribute a
-  finite cap (default 100 dB). A whole-cube variant is available via
-  ``per_band=False``; its MSE is the mean of the per-band MSEs.
+  finite cap (``PSNR_CAP_DB``, 100 dB).
 * ERGAS uses the spatial resolution ratio directly (100/ratio * ...), which
   must be positive and finite; zero-mean reference bands are excluded with a
   warning.
 * SAM is the mean per-pixel spectral angle in degrees; pixels whose
   reference or estimate spectrum is identically zero are skipped.
-* SSIM is single-scale with an 11x11 Gaussian window (sigma 1.5) and the
-  standard constants C1=(0.01 peak)^2, C2=(0.03 peak)^2, computed on the
-  valid interior and averaged over bands. PSNR and SSIM take a positive
-  peak whose fourth power, the scale of C1 C2, is finite: about 1.16e77 or less.
+* SSIM is single-scale with the 11x11 Gaussian window (sigma 1.5) and the
+  standard constants C1=(0.01 peak)^2, C2=(0.03 peak)^2 of Wang, Bovik,
+  Sheikh & Simoncelli (IEEE TIP 2004), computed on the valid interior and
+  averaged over bands. PSNR and SSIM take a positive peak whose fourth power,
+  the scale of C1 C2, is finite: about 1.16e77 or less (``config._check_peak``,
+  the rule of the run configuration's ``peak`` too).
 
 PSNR, ERGAS and SAM read both cubes once, in one walk (``_band_stats``) over
 slabs of whole rows that fit 256 KiB of one input (``_STATS_BYTES``), at most
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _is_integral
+from .config import _check_peak, _check_positive_finite, _is_integral
 from .degradation import gaussian_kernel_1d
 from .errors import DimensionError, MetricUndefinedError
 from .tensor import mode_n_product, require_finite
@@ -48,7 +49,7 @@ PSNR_CAP_DB = 100.0
 _SLAB_ROWS = 16
 # bytes of one input's slab in _band_stats, so both inputs' slabs stay in cache
 _STATS_BYTES = 1 << 18
-# bytes of one input's block in ssim: (rows + win_size - 1) x (columns + win_size - 1) x bands
+# bytes of one input's block in ssim: (rows + 10) x (columns + 10) x bands
 _BLOCK_BYTES = 1 << 20
 
 
@@ -140,32 +141,20 @@ def _band_stats(ref, est, dots=None):
     return err_total / (i1 * i2), ref_total / (i1 * i2), ref_max
 
 
-def _check_peak(peak):
-    if not (peak > 0 and np.isfinite((p := float(peak)) * p * p * p)):
-        raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
-
-
-def _check_ratio(ratio):
-    if not (ratio > 0 and np.isfinite(ratio)):
-        raise ValueError(f"resolution ratio must be positive and finite, got {ratio}")
-
-
-def _psnr(mse, peak, cap):
-    out = np.full(mse.shape, float(cap))
+def _psnr(mse, peak):
+    out = np.full(mse.shape, PSNR_CAP_DB)
     pos = mse > 0
     out[pos] = 10.0 * np.log10(peak * peak / mse[pos])
     return float(out.mean())
 
 
-def psnr(ref, est, peak, cap=PSNR_CAP_DB, per_band=True):
-    """Peak signal-to-noise ratio in dB (per-band average by default)."""
+def psnr(ref, est, peak):
+    """Peak signal-to-noise ratio in dB, averaged over bands (``PSNR_CAP_DB`` if exact)."""
     _check_peak(peak)
     ref, est = _check_same_shape(ref, est)
     mse, _, _ = _band_stats(ref, est)
     _require_finite_sums(mse, ref, est)
-    if not per_band:
-        mse = mse.mean(keepdims=True)
-    return _psnr(mse, peak, cap)
+    return _psnr(mse, peak)
 
 
 def _ergas(mse, mu, ratio):
@@ -181,7 +170,7 @@ def _ergas(mse, mu, ratio):
 
 def ergas(ref, est, ratio):
     """Relative dimensionless global synthesis error (lower is better)."""
-    _check_ratio(ratio)
+    _check_positive_finite("resolution ratio", ratio)
     ref, est = _check_same_shape(ref, est)
     mse, mu, _ = _band_stats(ref, est)
     _require_finite_sums(mse, ref, est)
@@ -251,30 +240,28 @@ def _ssim_block(n1, n2, bands, reach):
     return rows, min(max(cols, _SLAB_ROWS), n2)
 
 
-def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
+def ssim(ref, est, peak):
     """Single-scale structural similarity, averaged over bands.
 
     All bands are filtered at once, in blocks of output pixels (see
     ``_ssim_block``): a block's input rows are strided runs of the
     band-interleaved cube whose columns and bands merge into one axis. The
-    separable window is applied down the rows as one banded (Toeplitz)
-    product and across the columns as batched products with tiles of the
-    same matrix. The window is ``degradation.gaussian_kernel_1d(win_size,
-    win_sigma)``, so ``win_size`` must be odd.
+    separable window (11 Gaussian taps, sigma 1.5) is applied down the rows
+    as one banded (Toeplitz) product and across the columns as batched
+    products with tiles of the same matrix.
     """
     _check_peak(peak)
     ref, est = _check_same_shape(ref, est)
-    if ref.shape[0] < win_size or ref.shape[1] < win_size:
-        raise DimensionError(
-            f"image {ref.shape[:2]} smaller than the {win_size}x{win_size} window"
-        )
+    window = gaussian_kernel_1d(11, 1.5)
+    reach = window.size - 1
+    if ref.shape[0] <= reach or ref.shape[1] <= reach:
+        raise DimensionError(f"image {ref.shape[:2]} smaller than the 11x11 window")
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
     i1, i2, bands = ref.shape
-    reach = win_size - 1
     n1, n2 = i1 - reach, i2 - reach
     rows, cols = _ssim_block(n1, n2, bands, reach)
-    toeplitz = _toeplitz(gaussian_kernel_1d(win_size, win_sigma), _SLAB_ROWS)
+    toeplitz = _toeplitz(window, _SLAB_ROWS)
     # allocated once per call at block size, each block taking a contiguous
     # prefix: a product map's input block (then scratch for the SSIM map),
     # its row-filtered block, and the five local moments
@@ -319,7 +306,8 @@ def ssim(ref, est, peak, win_size=11, win_sigma=1.5):
     return float(np.mean(4.0 * sums / (n1 * n2)))
 
 
-def _keys_kernel(x, a=-0.5):
+def _keys_kernel(x):
+    a = -0.5  # Keys' cubic convolution kernel (IEEE TASSP 1981)
     ax = abs(x)
     if ax <= 1.0:
         return (a + 2.0) * ax**3 - (a + 3.0) * ax**2 + 1.0
@@ -329,7 +317,7 @@ def _keys_kernel(x, a=-0.5):
 
 
 def _bicubic_matrix(n, factor):
-    """(factor*n) x n interpolation matrix with the Keys a=-0.5 kernel.
+    """(factor*n) x n interpolation matrix with ``_keys_kernel``.
 
     Output sample j reads input coordinate (j + 0.5)/factor - 0.5; edge taps
     are clamped (replicated).
@@ -369,7 +357,7 @@ def evaluate(ref, est, peak=None, ratio=1.0):
     again."""
     if peak is not None:
         _check_peak(peak)
-    _check_ratio(ratio)
+    _check_positive_finite("resolution ratio", ratio)
     ref, est = _check_same_shape(ref, est)
     dots = np.empty((3, ref.shape[0] * ref.shape[1]))
     mse, mu, ref_max = _band_stats(ref, est, dots)
@@ -377,13 +365,11 @@ def evaluate(ref, est, peak=None, ratio=1.0):
     if peak is None:
         peak = ref_max
         if not peak > 0:
-            raise MetricUndefinedError(
-                "peak undefined: reference maximum is not positive"
-            )
+            raise MetricUndefinedError("peak undefined: reference maximum is not positive")
         if not np.isfinite(peak * peak * peak * peak):
             raise MetricUndefinedError(f"peak undefined: reference maximum {peak} is too large")
     return MetricReport(
-        psnr=_psnr(mse, peak, PSNR_CAP_DB),
+        psnr=_psnr(mse, peak),
         ergas=_ergas(mse, mu, ratio),
         sam=_sam(dots, ref, est),
         ssim=ssim(ref, est, peak),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import TAU_MODES, SolverConfig, _is_int  # noqa: F401 (SolverConfig re-exported)
+from .config import TAU_MODES, SolverConfig, _check_one_of, _check_type  # noqa: F401 (re-export)
 from .errors import DimensionError, DivergenceError
 from .regularizer import _from_norm_layout, _to_norm_layout, nms_tctv
 from .tensor import (
@@ -175,14 +175,11 @@ class Diagnostics:
 
 def extract_subspace(x, r):
     """First r left singular vectors of the mode-3 unfolding of x."""
-    if not _is_int(r):
-        raise ValueError(f"r must be an integer, got {r!r}")
+    _check_type("r", r, int)
     x = np.asarray(x, dtype=float)
     i1, i2, i3 = x.shape
     if not 1 <= r <= min(i3, i1 * i2):
-        raise ValueError(
-            f"subspace dimension {r} out of range 1..{min(i3, i1 * i2)}"
-        )
+        raise ValueError(f"subspace dimension {r} out of range 1..{min(i3, i1 * i2)}")
     u, _, _ = np.linalg.svd(unfold(x, 3), full_matrices=False)
     return np.ascontiguousarray(u[:, :r])
 
@@ -196,8 +193,7 @@ def lipschitz_tau(p1, p2, p3, s, mode="safe"):
     gradient actually contains, making the Lipschitz inequality certifiable.
     The norms are exact (LAPACK; |D_n|^2 in closed form): tau is a certificate.
     """
-    if mode not in TAU_MODES:
-        raise ValueError(f"tau mode must be one of {TAU_MODES}, got {mode!r}")
+    _check_one_of("tau_mode", mode, TAU_MODES)
     p1, p2 = np.asarray(p1), np.asarray(p2)
     n1, n2, nq = (float(np.linalg.norm(m, 2)) for m in (p1, p2, np.asarray(p3) @ np.asarray(s)))
     if mode == "paper":

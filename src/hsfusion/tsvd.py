@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _check_positive_finite
 from .errors import FactorizationError
 
 
@@ -36,8 +37,7 @@ class LogSurrogate:
     gamma: float
 
     def __post_init__(self):
-        if not (self.gamma > 0 and np.isfinite(self.gamma)):
-            raise ValueError(f"surrogate gamma must be positive and finite, got {self.gamma}")
+        _check_positive_finite("gamma", self.gamma)
 
     def value(self, x):
         return np.log1p(self.gamma * np.asarray(x)) / np.log1p(self.gamma)

@@ -1,16 +1,23 @@
-"""The package root resolves its public names on first use."""
+"""The package root resolves its public names on first use, and a value
+that a config key shares with a library function meets one rule in both."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hsfusion
+from hsfusion import (
+    IKONOS_BANDS, LogSurrogate, RunConfig, SceneSpec, SolverConfig, ergas, evaluate,
+    gaussian_kernel_1d, lipschitz_tau, make_degradation, psnr, ssim,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -70,3 +77,43 @@ def test_numpy_is_the_only_runtime_dependency():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "numpy", f"{path.name}: {name}"
+
+
+_CUBE = np.full((12, 12, 3), 0.5)
+
+
+# one bad value per rule, set as a config key and passed to a library function
+@pytest.mark.parametrize("config, library", [
+    (lambda: SolverConfig(r=1, gamma=0.0), lambda: LogSurrogate(0.0)),
+    (lambda: SolverConfig(r=1, tau_mode="fast"),
+     lambda: lipschitz_tau(np.eye(2, 4), np.eye(2, 4), np.eye(1, 3), np.eye(3, 1), "fast")),
+    (lambda: RunConfig(kernel_size=4), lambda: gaussian_kernel_1d(4, 1.0)),
+    (lambda: RunConfig(sigma=0.0), lambda: gaussian_kernel_1d(9, 0.0)),
+    (lambda: RunConfig(seed=-1), lambda: SceneSpec(shape=(4, 4, 4), r=1, seed=-1)),
+    (lambda: RunConfig(peak=1e100), lambda: psnr(_CUBE, _CUBE, 1e100)),
+    (lambda: RunConfig(peak=1e100), lambda: ssim(_CUBE, _CUBE, 1e100)),
+    (lambda: RunConfig(peak=1e100), lambda: evaluate(_CUBE, _CUBE, peak=1e100)),
+], ids=["gamma", "tau_mode", "kernel_size", "sigma", "seed", "peak-psnr", "peak-ssim",
+        "peak-evaluate"])
+def test_a_config_key_and_its_library_argument_raise_the_same_error(config, library):
+    with pytest.raises(ValueError) as from_config:
+        config()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(from_config.value))}$"):
+        library()
+
+
+# True is not 1: a bool is refused as the config's type rule refuses it
+@pytest.mark.parametrize("call, message", [
+    (lambda: LogSurrogate(True), "gamma must be a real number, got True"),
+    (lambda: gaussian_kernel_1d(9, True), "sigma must be a real number, got True"),
+    (lambda: make_degradation((16, 16, 8), 4, 9, True, IKONOS_BANDS),
+     "sigma must be a real number, got True"),
+    (lambda: psnr(_CUBE, _CUBE, True), "peak must be a real number, got True"),
+    (lambda: evaluate(_CUBE, _CUBE, peak=True, ratio=True), "peak must be a real number, got True"),
+    (lambda: evaluate(_CUBE, _CUBE, ratio=True), "resolution ratio must be a real number, got True"),
+    (lambda: ergas(_CUBE, _CUBE, True), "resolution ratio must be a real number, got True"),
+], ids=["LogSurrogate", "gaussian_kernel_1d", "make_degradation", "psnr", "evaluate-peak",
+        "evaluate-ratio", "ergas"])
+def test_library_calls_reject_a_bool(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

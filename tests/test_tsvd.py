@@ -235,7 +235,7 @@ def test_surrogate_rejects_bad_gamma():
 
 
 def test_surrogate_rejects_an_infinite_gamma():
-    with pytest.raises(ValueError, match="^surrogate gamma must be positive and finite, got inf$"):
+    with pytest.raises(ValueError, match="^gamma must be positive and finite, got inf$"):
         LogSurrogate(float("inf"))
 
 
