@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import KEYS, build_run_config, load_config_file
+from .config import KEYS, SPECTRA_KINDS, build_run_config, load_config_file
 from .errors import FusionError
 
 # the files simulate writes as <name>.cmt and fuse reads from --<name>
@@ -218,7 +218,7 @@ def _build_parser():
     p_sim.add_argument("--gt", default=None, help="ground-truth .cmt cube")
     p_sim.add_argument("--synthetic", default=None, metavar="I1xI2xI3")
     p_sim.add_argument("--blocks", type=int, default=4)
-    p_sim.add_argument("--spectra", choices=("random", "smooth"), default="random")
+    p_sim.add_argument("--spectra", choices=SPECTRA_KINDS, default="random")
     p_sim.add_argument("--out-dir", default=".")
     _add_config_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)

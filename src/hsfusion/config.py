@@ -20,6 +20,7 @@ from typing import get_args
 
 TAU_MODES = ("paper", "safe")
 EPS_MODES = ("absolute", "relative")
+SPECTRA_KINDS = ("random", "smooth")
 # a key type's admitted values and their name: numpy's pass; bool, though Integral, does not
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
           str: (str, "a string")}
@@ -35,6 +36,14 @@ def _is_integral(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and value % 1 == 0
 
 
+def _is_finite(value):
+    """math.isfinite for any real, with an int beyond float range not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_type(name, value, typ):
     kind, what = _KINDS[typ]
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -43,11 +52,11 @@ def _check_type(name, value, typ):
 
 def _check_positive_finite(name, value):  # gamma, sigma; rho0, eps, the resolution ratio
     _check_type(name, value, float)
-    if not (value > 0 and math.isfinite(value)):
+    if not (value > 0 and _is_finite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_one_of(name, value, choices):  # tau_mode; eps_mode
+def _check_one_of(name, value, choices):  # tau_mode; eps_mode; spectra
     if value not in choices:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
@@ -64,7 +73,7 @@ def _check_seed(seed):  # each caller applies the type rule first
 
 def _check_peak(peak):  # the fourth power scales SSIM's C1 C2
     _check_type("peak", peak, float)
-    if not (peak > 0 and math.isfinite((p := float(peak)) * p * p * p)):
+    if not (peak > 0 and _is_finite(peak) and math.isfinite((p := float(peak)) * p * p * p)):
         raise ValueError(f"peak must be positive and finite, its fourth power too, got {peak}")
 
 
@@ -96,7 +105,7 @@ class SolverConfig:
             raise ValueError(f"subspace dimension must be >= 1, got {self.r}")
         _check_positive_finite("gamma", self.gamma)
         _check_positive_finite("rho0", self.rho0)
-        if not (self.nu > 1 and math.isfinite(self.nu)):
+        if not (self.nu > 1 and _is_finite(self.nu)):
             raise ValueError(f"nu must be finite and exceed 1, got {self.nu}")
         _check_positive_finite("eps", self.eps)
         if self.max_iter < 1:

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _check_kernel_size, _check_positive_finite, _check_seed, _check_type, _is_int
+from .config import (SPECTRA_KINDS, _check_kernel_size, _check_one_of, _check_positive_finite,
+                     _check_seed, _check_type, _is_int)
 from .errors import DimensionError
-from .tensor import _mode3_blocks, mode_n_product
+from .tensor import mode_n_product
 
 LANDSAT7_BANDS = (
     (450.0, 520.0),
@@ -196,8 +197,7 @@ class SceneSpec:
         if self.blocks < 1:
             raise ValueError(f"blocks must be >= 1, got {self.blocks}")
         _check_seed(self.seed)
-        if self.spectra not in ("random", "smooth"):
-            raise ValueError(f"unknown spectra kind {self.spectra!r}")
+        _check_one_of("spectra", self.spectra, SPECTRA_KINDS)
 
 
 def _orthonormalize(m):
@@ -230,5 +230,4 @@ def synth_scene(spec):
         width = max(i3 / (2.0 * spec.r), 1.0)
         raw = np.exp(-((idx - centers[None, :]) ** 2) / (2.0 * width * width))
     s = _orthonormalize(raw)
-    z = _mode3_blocks(a, s, "synthetic scene")
-    return z, a, s
+    return mode_n_product(a, s, 3), a, s

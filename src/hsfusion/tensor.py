@@ -12,10 +12,9 @@ the mode-n products read the C-order layout in place, one product per mode.
 :func:`all_finite` is the one whole-array finiteness check that ``solve`` and
 the ``.cmt``/ENVI readers and writer share. It tests :data:`SLAB_ELEMENTS`
 elements (1 MiB of float64) at a time through a single boolean mask of that
-size, so no check builds an array-sized mask. Every mode-3 product (the
-synthetic scene, ``simulate``'s y, the solve loop's four and ``z_hat``) is
-formed by ``_mode3_blocks`` in row blocks of that size, which it also checks
-while each is still in cache when asked to.
+size, so no check builds an array-sized mask. ``mode_n_product(t, m, 3)``
+forms every mode-3 product (the synthetic scene, ``simulate``'s y, the solve
+loop's four and ``z_hat``) in row blocks of that size, through ``_mode3_blocks``.
 """
 
 import numpy as np
@@ -109,13 +108,12 @@ def mode_n_product(t, m, mode):
     return _mode3_blocks(t, m)
 
 
-def _mode3_blocks(t, m, name=None):
+def _mode3_blocks(t, m):
     """t x_3 m for a tensor t (I1, I2, I3) and a matrix m (J, I3): a new C-order
     (I1, I2, J) cube, each row block of at most :data:`SLAB_ELEMENTS` elements (one
-    row when a row is larger) one BLAS product of its pixels with m.T. Every mode-3
-    product in the package is formed in these blocks, so none rounds differently for
-    the path that formed it. With ``name``, each block is checked while it is still
-    in cache, and a NaN or Inf raises ValueError as :func:`require_finite` does.
+    row when a row is larger) one BLAS product of its pixels with m.T. Its one caller
+    is :func:`mode_n_product`, so every mode-3 product in the package is formed in
+    these blocks, and none rounds differently for the path that formed it.
     """
     (i1, i2, i3), j = t.shape, m.shape[0]
     out = np.empty((i1, i2, j), np.result_type(t, m))
@@ -124,8 +122,6 @@ def _mode3_blocks(t, m, name=None):
         pixels = (min(i + rows, i1) - i) * i2
         block = out[i : i + rows].reshape(pixels, j)
         np.matmul(t[i : i + rows].reshape(pixels, i3), m.T, out=block)
-        if name is not None:
-            require_finite(block, name)
     return out
 
 

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from hsfusion import (
     LANDSAT7_BANDS,
@@ -22,12 +24,10 @@ from hsfusion import (
     unfold,
 )
 from hsfusion import degradation as degradation_module
-from hsfusion.tensor import SLAB_ELEMENTS
+from hsfusion.config import SPECTRA_KINDS
+from hsfusion.tensor import all_finite
 
 from _shared import _traced_peak
-
-# entries of a two-slab cube that a slab-wise scan could miss
-EDGES = (0, SLAB_ELEMENTS - 1, SLAB_ELEMENTS, 2 * SLAB_ELEMENTS - 1)
 
 
 def test_kernel_size_one():
@@ -179,41 +179,31 @@ def test_synth_scene_flat_blocks_has_zero_regularizer():
     assert nms_tctv(a, LogSurrogate(0.1)) == 0.0
 
 
-def _poison_scene_product(monkeypatch, shape, index):
-    """Make synth_scene's product the real blocked product of maps of ones,
-    of the given shape with R = 1, whose flat entry ``index`` is Inf; the
-    scene is then ones with that one Inf."""
-    real = degradation_module._mode3_blocks
-
-    def poisoned(a, s, name=None):
-        maps = np.ones(shape[:2] + (1,))
-        maps.flat[index] = np.inf
-        return real(maps, np.ones((1, 1)), name)
-
-    monkeypatch.setattr(degradation_module, "_mode3_blocks", poisoned)
-
-
-@pytest.mark.parametrize("index", EDGES)
-def test_synth_scene_rejects_a_non_finite_scene(monkeypatch, index):
-    # 512x512x1 is two blocks of SLAB_ELEMENTS entries
-    _poison_scene_product(monkeypatch, (512, 512, 1), index)
-    with pytest.raises(ValueError, match="^synthetic scene contains non-finite entries$"):
-        synth_scene(SceneSpec(shape=(8, 8, 6), r=2, seed=3))
-
-
-@pytest.mark.parametrize("index", [SLAB_ELEMENTS, 300 * 512 - 1])
-def test_synth_scene_rejects_a_non_finite_entry_in_a_ragged_last_block(monkeypatch, index):
-    # 300x512x1 is one block of 256 rows and one of 44
-    _poison_scene_product(monkeypatch, (300, 512, 1), index)
-    with pytest.raises(ValueError, match="^synthetic scene contains non-finite entries$"):
-        synth_scene(SceneSpec(shape=(8, 8, 6), r=2, seed=3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+       blocks=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+       spectra=st.sampled_from(SPECTRA_KINDS), data=st.data())
+def test_scene_is_finite_and_bounded_by_root_r(shape, blocks, seed, spectra, data):
+    # maps in [0, 1) times orthonormal columns: |z_ijk| <= |a_ij| |s_k| < sqrt(R),
+    # so no scene can hold a NaN or an Inf
+    i1, i2, i3 = shape
+    r = data.draw(st.integers(1, min(i3, i1 * i2)), label="r")
+    try:
+        z, a, s = synth_scene(SceneSpec(shape, r, blocks=blocks, seed=seed, spectra=spectra))
+    except ValueError as exc:
+        if str(exc) != "spectra matrix is rank deficient":
+            raise
+        reject()
+    assert all_finite(z)
+    assert np.abs(z).max() <= np.sqrt(r) * (1 + 1e-9)
+    assert z.tobytes() == mode_n_product(a, s, 3).tobytes()
 
 
 def test_scene_and_simulation_build_no_cube_sized_temporary():
     spec = SceneSpec(shape=(128, 128, 96), r=3, seed=2)  # 12.6 MB, 10 row blocks
     z, _, _ = synth_scene(spec)
     cube = z.nbytes
-    # the scene itself is one cube; the rest is the maps, the basis and one block's mask
+    # the scene itself is one cube; the rest is the maps and the basis
     _, peak = _traced_peak(synth_scene, spec)
     assert peak < 1.1 * cube
     # x after mode 1 (a quarter cube), x and y
@@ -294,6 +284,7 @@ _BAD_SCENE_FIELDS = [
     ("seed", True, "seed must be an integer, got True"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("seed", -1, "seed must be nonnegative, got -1"),
+    ("spectra", "fancy", "spectra must be one of ('random', 'smooth'), got 'fancy'"),
 ]
 
 

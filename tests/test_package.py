@@ -79,6 +79,16 @@ def test_numpy_is_the_only_runtime_dependency():
                 assert top in sys.stdlib_module_names or top == "numpy", f"{path.name}: {name}"
 
 
+def test_only_the_tensor_module_names_the_blocked_mode3_kernel():
+    # every other module forms a mode-3 product as mode_n_product(t, m, 3)
+    for path in sorted((SRC / "hsfusion").glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            assert not (named and getattr(node, named) == "_mode3_blocks"), path.name
+
+
 _CUBE = np.full((12, 12, 3), 0.5)
 
 
@@ -115,5 +125,34 @@ def test_a_config_key_and_its_library_argument_raise_the_same_error(config, libr
 ], ids=["LogSurrogate", "gaussian_kernel_1d", "make_degradation", "psnr", "evaluate-peak",
         "evaluate-ratio", "ergas"])
 def test_library_calls_reject_a_bool(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+_HUGE = 10**400  # an int beyond float range: not finite, as inf is not
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LogSurrogate(_HUGE), f"gamma must be positive and finite, got {_HUGE}"),
+    (lambda: SolverConfig(r=1, gamma=_HUGE), f"gamma must be positive and finite, got {_HUGE}"),
+    (lambda: SolverConfig(r=1, rho0=_HUGE), f"rho0 must be positive and finite, got {_HUGE}"),
+    (lambda: SolverConfig(r=1, nu=_HUGE), f"nu must be finite and exceed 1, got {_HUGE}"),
+    (lambda: SolverConfig(r=1, eps=_HUGE), f"eps must be positive and finite, got {_HUGE}"),
+    (lambda: RunConfig(sigma=_HUGE), f"sigma must be positive and finite, got {_HUGE}"),
+    (lambda: RunConfig(peak=_HUGE),
+     f"peak must be positive and finite, its fourth power too, got {_HUGE}"),
+    (lambda: psnr(_CUBE, _CUBE, _HUGE),
+     f"peak must be positive and finite, its fourth power too, got {_HUGE}"),
+    (lambda: ssim(_CUBE, _CUBE, _HUGE),
+     f"peak must be positive and finite, its fourth power too, got {_HUGE}"),
+    (lambda: evaluate(_CUBE, _CUBE, peak=_HUGE),
+     f"peak must be positive and finite, its fourth power too, got {_HUGE}"),
+    (lambda: evaluate(_CUBE, _CUBE, ratio=_HUGE),
+     f"resolution ratio must be positive and finite, got {_HUGE}"),
+    (lambda: ergas(_CUBE, _CUBE, _HUGE), f"resolution ratio must be positive and finite, got {_HUGE}"),
+    (lambda: gaussian_kernel_1d(9, _HUGE), f"sigma must be positive and finite, got {_HUGE}"),
+], ids=["LogSurrogate", "gamma", "rho0", "nu", "eps", "sigma", "peak", "psnr", "ssim",
+        "evaluate-peak", "evaluate-ratio", "ergas", "gaussian_kernel_1d"])
+def test_an_int_beyond_float_range_is_not_finite(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
